@@ -45,9 +45,10 @@ _FRAME = struct.Struct("<Q")
 def _column_blob(rel, pool):
     """Id-encode one relation's insertion log as a ColumnStore blob.
 
-    Columnar-backend relations already hold the id mirror; the rows
-    backend encodes on the fly (assigning pool ids on first use —
-    that's why the value table is pickled *after* the blobs).
+    Database relations already hold the id mirror.  A mirror that does
+    not cover the whole log is re-encoded from the log on the fly
+    (assigning pool ids on first use — that's why the value table is
+    pickled *after* the blobs).
     """
     # Epoch-pinned snapshot relations wrap the real relation; unwrap.
     frozen = getattr(rel, "_rel", None)
@@ -82,7 +83,7 @@ def write_checkpoint(path, db, wal_seq, lineage=None):
         "relations": keys,
         "epochs": {key: db.epoch_of(key) for key in keys},
     }
-    # Pickled after the blobs: rows-backend encoding above may have
+    # Pickled after the blobs: encoding from the log above may have
     # assigned fresh ids, and every id referenced by a blob must
     # resolve.  (The pool is append-only, so a concurrent ingester can
     # only add values the blobs never reference — harmless.)

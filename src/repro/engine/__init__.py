@@ -9,7 +9,6 @@ from .fixpoint import QueryResult, evaluate_query, goal_filter, project_free
 from .guard import CancellationToken, ResourceBudget
 from .instrumentation import EvalStats
 from .interning import InternPool
-from .join import evaluate_body, evaluate_rule, ground_head, match_atom
 from .planner import reorder_body, reorder_program_rules
 from .relation import EmptyRelation, Relation, WILDCARD
 from .seminaive import SemiNaiveEngine, evaluate_program
@@ -40,13 +39,9 @@ __all__ = [
     "WILDCARD",
     "check_stratified",
     "eval_comparison",
-    "evaluate_body",
     "evaluate_program",
     "evaluate_query",
-    "evaluate_rule",
     "goal_filter",
-    "ground_head",
     "is_stratified",
-    "match_atom",
     "project_free",
 ]

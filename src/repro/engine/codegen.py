@@ -1,21 +1,21 @@
 """Specialized executors generated from compiled rule bodies.
 
-The interpreted executor in :mod:`repro.engine.compile` walks a stack
-of per-step generators and re-dispatches on an op tuple for every
-candidate row.  That interpretation overhead — a ``next()`` call, a
-generator frame resume, and a loop over ``(pos, kind, data)`` tuples
-per row — is pure bookkeeping: the set of probes, writes, and checks is
-fully known at compile time.  This module emits a *specialized Python
-function* per body instead: nested ``for`` loops with the key
-expressions, slot writes, and equality checks inlined as straight-line
-code, compiled once with :func:`compile` and reused for every
-evaluation of the rule.
+A compiled body (:mod:`repro.engine.compile`) is a list of steps; the
+interpreted way to run it walks a stack of per-step generators and
+re-dispatches on an op tuple for every candidate row.  That
+interpretation overhead — a ``next()`` call, a generator frame resume,
+and a loop over ``(pos, kind, data)`` tuples per row — is pure
+bookkeeping: the set of probes, writes, and checks is fully known at
+compile time.  This module emits a *specialized Python function* per
+body instead: nested ``for`` loops with the key expressions, slot
+writes, and equality checks inlined as straight-line code, compiled
+once with :func:`compile` and reused for every evaluation of the rule.
 
 Two forms are generated:
 
-* a **runner** — a drop-in for :meth:`CompiledBody.execute`: yields the
-  shared slot array once per body match, in exactly the legacy
-  enumeration order;
+* a **runner** — the executor behind :meth:`CompiledBody.execute`:
+  yields the shared slot array once per body match, in depth-first
+  order with each level's candidates visited in reverse;
 * an **emitter** — the vectorized form used by the set-at-a-time rule
   pass and by :class:`~repro.engine.compile.BoundQuery`: when the last
   body step is a plain scan (writes and checks only), the innermost
@@ -37,9 +37,10 @@ point because ``reversed(bucket)`` already snapshots its start index:
 rows appended to a live bucket during its own enumeration were
 invisible to the interpreted executor too, so draining one bucket's
 derivations after the bucket is enumerated (instead of interleaved)
-cannot change what any probe sees.  Bodies outside the generatable
-shape simply keep the interpreted path — generation failure is never an
-error.
+cannot change what any probe sees.  Generation failure is never an
+error: Python refuses more than twenty statically nested blocks, so a
+body with more than twenty scans keeps the interpreted executor, and
+an emitter outside the vectorizable shape is simply not built.
 """
 
 def _key_expr(i, positions, key_parts, ns):

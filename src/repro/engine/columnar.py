@@ -4,11 +4,12 @@ The paper's counting methods assume tuple access is "a direct access to
 the memory"; the biggest remaining gap between that model and this
 engine was row storage — Python tuples of interned objects, hashed
 object-at-a-time.  This module provides the dense half of the storage
-layer: every relation can mirror its rows as parallel ``array('q')``
-columns of **intern-pool ids** (see
-:meth:`~repro.engine.interning.InternPool.ident`).  Planning and the
-value-level join semantics stay exactly as they were; the id columns
-are a parallel, losslessly decodable view used for
+layer: every relation built with an intern pool (every database
+relation) mirrors its rows as parallel ``array('q')`` columns of
+**intern-pool ids** (see
+:meth:`~repro.engine.interning.InternPool.ident`).  The join executors
+(:mod:`repro.engine.compile`) read the value rows; the id columns are
+a parallel, losslessly decodable view used for
 
 * O(rows) machine-word serialization (:meth:`ColumnStore.to_bytes`) —
   the substrate for shard exchange and mmap persistence (ROADMAP items
@@ -18,29 +19,14 @@ are a parallel, losslessly decodable view used for
 * vectorized scans over a single column without touching row objects
   (:meth:`ColumnStore.matching`), with an optional numpy fast path.
 
-Feature flags
--------------
-
-``REPRO_COLUMNAR`` (default on) selects the columnar backend: id
-columns are maintained on database relations and the compiled join
-executor uses the generated nested-loop/vectorized-emit form
-(:mod:`repro.engine.codegen`).  Setting ``REPRO_COLUMNAR=0`` restores
-the legacy row-at-a-time storage and the interpreted slot-array
-executor — kept as an ablation and as the differential-testing
-baseline; both backends are required to produce byte-identical rendered
-answers and identical work counters.
-
-``REPRO_NUMPY`` (default off) additionally routes
-:meth:`ColumnStore.matching` through numpy when it is importable.  The
-flag is off by default so the default build has zero third-party
-dependencies; enabling it never changes results, only the scan speed.
+``REPRO_NUMPY`` (default off) routes :meth:`ColumnStore.matching`
+through numpy when it is importable.  The flag is off by default so
+the default build has zero third-party dependencies; enabling it never
+changes results, only the scan speed.
 """
 
 import os
 from array import array
-
-#: Module-level backend switch, initialized from the environment once.
-_COLUMNAR = os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 _NUMPY_WANTED = os.environ.get("REPRO_NUMPY", "0") != "0"
 _numpy = None
@@ -49,43 +35,6 @@ if _NUMPY_WANTED:  # pragma: no cover - depends on the environment
         import numpy as _numpy
     except ImportError:
         _numpy = None
-
-
-def columnar_enabled():
-    """True when the columnar backend is selected."""
-    return _COLUMNAR
-
-
-def set_columnar(enabled):
-    """Flip the backend switch; returns the previous value.
-
-    Only relations and compiled bodies *created after* the flip observe
-    the new value — existing objects keep the backend they were built
-    with, which is what lets the differential suite hold one relation
-    per backend side by side.
-    """
-    global _COLUMNAR
-    previous = _COLUMNAR
-    _COLUMNAR = bool(enabled)
-    return previous
-
-
-class use_backend:
-    """Context manager pinning the backend flag for a ``with`` block."""
-
-    __slots__ = ("_enabled", "_previous")
-
-    def __init__(self, enabled):
-        self._enabled = bool(enabled)
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = set_columnar(self._enabled)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        set_columnar(self._previous)
-        return False
 
 
 def numpy_active():

@@ -1,9 +1,9 @@
 """Set-at-a-time rule compilation: batched hash joins over slot arrays.
 
-The tuple-at-a-time path in :mod:`repro.engine.join` re-resolves and
-re-unifies every atom argument once per candidate row, paying several
-Python-level calls and a dict copy per binding.  This module performs
-that analysis **once per rule**: each body-literal position is
+Every rule body the bottom-up engines evaluate runs through this
+module.  The analysis a tuple-at-a-time evaluator repeats for every
+candidate row — which arguments are bound, which bind, which must be
+unified — happens **once per body**: each body-literal position is
 classified as
 
 * a *key part* — a constant, an already-bound variable, or a structured
@@ -14,28 +14,39 @@ classified as
 * a *check* — a repeated variable, compiled to an equality test against
   its slot;
 * a *matcher* — a structured term such as ``[(r1, C) | L]``, compiled to
-  a small closure that decomposes the stored value and falls back to
-  full unification semantics.
+  a small closure that decomposes the stored value with full
+  unification semantics.
 
 Substitutions become flat slot arrays indexed by position instead of
 name-keyed dicts of terms, and candidate rows arrive in batches from
 :meth:`Relation.lookup` probes instead of one generator hop per row.
 
-Equivalence contract
---------------------
+Which variables are bound at each body position is a static property
+of the body, so ``=`` is unified at compile time too.  A ``=`` whose
+sides are both still unbound records an *alias*: after ``X = Y`` every
+later occurrence of ``X`` reads ``Y``, and after ``L = [X | T]`` the
+variable ``L`` stands for that partial list until ``T`` is bound.
+Aliases are substituted into every later literal, the head and the
+projections; compound-against-compound unifies argument-wise, and a
+compound against a ground value compiles to a decomposing matcher.
 
-The compiled engine is a drop-in replacement for
-:func:`repro.engine.join.evaluate_body` on the supported fragment: it
-enumerates **the same results in the same order** (the legacy stack
-discipline visits each level's candidates in reverse; the executor here
-replicates that) and updates ``tuples_scanned`` / ``facts_*`` counters
-identically — the work counters are the paper's currency, so the
-optimization must not change *what* is computed, only how fast.
-Constructs outside the fragment (non-ground negation, comparisons over
-unbound terms, head arguments that cannot be proven ground) make
-:func:`compile_body` / :class:`CompiledRule` report failure and callers
-fall back to the legacy path, which raises the same errors it always
-did.
+Semantics contract
+------------------
+
+Compiled bodies implement the dict-substitution semantics of
+:mod:`repro.datalog.unify` and :mod:`repro.engine.builtins`: they
+enumerate the matches of a body depth-first, visiting each level's
+candidates in reverse, and update ``tuples_scanned`` / ``index_probes``
+/ ``facts_*`` at the same points — the work counters are the paper's
+currency, so *how* a body runs must never change *what* is counted.
+Literals that cannot be evaluated as written (a negation or an
+ordering comparison over unbound terms, an ``is``/``in`` with an
+unbound right side, a head or projection argument the body never
+binds) compile to steps that raise the corresponding
+:class:`~repro.errors.EvaluationError` when evaluation first reaches
+them, naming the terms as resolved at that point.  The test suite
+checks all of this against an independent tuple-at-a-time reference
+evaluator (``tests/oracle.py``).
 """
 
 from ..datalog.atoms import Atom, Comparison, Negation
@@ -58,7 +69,6 @@ from .codegen import (
     generate_entry_collector,
     generate_runner,
 )
-from .columnar import columnar_enabled
 
 #: Direct implementations of the binary arithmetic functors; ``min`` /
 #: ``max`` and any future n-ary forms stay on the generic
@@ -92,13 +102,99 @@ def _vars_within(term, names):
     return all(name in names for name in term.iter_variables())
 
 
+#: Stands in for the cyclic part of a pattern: its unknown functor
+#: matches no stored value, and no finite value could match the
+#: infinite term a cyclic alias describes.
+_UNMATCHABLE = Compound("<cyclic>", ())
+
+
+def _deref(term, alias, cyclic=None, active=()):
+    """``term`` with every aliased variable replaced by its binding.
+
+    ``X = [1 | X]`` aliases ``X`` to a term containing ``X``; expanding
+    such a variable again yields ``cyclic`` when given, and raises
+    ``RecursionError`` otherwise (see :func:`_cyclic`).
+    """
+    if isinstance(term, Variable):
+        target = alias.get(term.name)
+        if target is None:
+            return term
+        if term.name in active:
+            if cyclic is None:
+                raise _cyclic(None)
+            return cyclic
+        return _deref(target, alias, cyclic, active + (term.name,))
+    if isinstance(term, Compound):
+        return Compound(term.functor, [
+            _deref(arg, alias, cyclic, active) for arg in term.args
+        ])
+    return term
+
+
+def _walk(term, alias):
+    """Follow ``term``'s chain of variable aliases, like ``unify.walk``."""
+    while isinstance(term, Variable) and term.name in alias:
+        term = alias[term.name]
+    return term
+
+
+def _cyclic(_slots):
+    """The error of resolving a cyclically aliased variable.
+
+    A dict-substitution evaluator binds ``X = [1 | X]`` happily and
+    overflows the stack only once something resolves ``X`` (or unifies
+    it with itself); a literal or projection whose compilation runs
+    into that compiles to a step raising the same error when reached.
+    """
+    return RecursionError("maximum recursion depth exceeded")
+
+
+def _raise_cyclic(slots):
+    raise _cyclic(slots)
+
+
+def _deref_literal(lit, alias):
+    """``lit`` with :func:`_deref` applied to every argument."""
+    if isinstance(lit, Atom):
+        return Atom(lit.pred, [_deref(arg, alias) for arg in lit.args])
+    if isinstance(lit, Negation):
+        return Negation(_deref_literal(lit.atom, alias))
+    if isinstance(lit, Comparison):
+        return Comparison(
+            lit.op, _deref(lit.left, alias), _deref(lit.right, alias)
+        )
+    return lit
+
+
+def _compile_resolve(term, slot_of, bound):
+    """Compile ``term`` to ``slots -> resolved term``.
+
+    The result is what :func:`repro.datalog.unify.resolve` returns under
+    the equivalent substitution: bound variables become constants and a
+    ground compound folds to one.  Used only to word error messages, so
+    a body that fails names its terms exactly as a dict-substitution
+    evaluator would.
+    """
+    pairs = tuple(
+        (name, slot_of[name])
+        for name in dict.fromkeys(term.iter_variables())
+        if name in bound
+    )
+
+    def resolved(slots):
+        return resolve(
+            term, {name: Constant(slots[index]) for name, index in pairs}
+        )
+
+    return resolved
+
 
 def _compile_eval(term, slot_of):
     """Compile ``term`` (variables all slotted) to ``slots -> value``.
 
     Mirrors :func:`repro.datalog.terms.ground_value` exactly, including
     the errors it raises, so the compiled path fails the same way the
-    legacy ``resolve`` fold does.
+    ``resolve`` fold does.
     """
     if isinstance(term, Constant):
         value = term.value
@@ -161,11 +257,11 @@ def _compile_match(term, slot_of, live, alloc):
 
     ``live`` is the set of variable names bound at the point the matcher
     runs; names the pattern binds are added to it (pattern positions are
-    processed left to right, matching the legacy unification chain).
+    processed left to right, like a chain of unifications).
     Semantics mirror ``unify(pattern, Constant(value))``: cons cells
     decompose non-empty tuples, tuple terms decompose width-matched
     tuples, and anything else — notably arithmetic functors, which the
-    legacy unifier never evaluates inside patterns — fails.
+    unifier never evaluates inside patterns — fails.
     """
     if isinstance(term, Constant):
         value = term.value
@@ -221,7 +317,7 @@ def _compile_match(term, slot_of, live, alloc):
         return match_tuple
 
     # Arithmetic and unknown functors never match a stored value — the
-    # legacy unifier returns None for them without evaluating.
+    # unifier returns None for them without evaluating.
     def match_never(_candidate, _slots):
         return False
 
@@ -353,174 +449,225 @@ def _compile_scan(lit_index, atom, slot_of, bound, alloc):
     return scan
 
 
-def _compile_negation(lit_index, negation, slot_of, bound):
-    """Compile ``not atom``; None if the atom is not statically ground."""
-    atom = negation.atom
-    fns = []
-    for arg in atom.args:
-        if not _vars_within(arg, bound):
-            return None
-        fns.append(_compile_eval(arg, slot_of))
-    fns = tuple(fns)
+def _filter(test):
+    """A step that passes the current match on when ``test(slots)``."""
 
-    def negate_test(slots, resolver):
-        relation = resolver(lit_index, atom)
-        return tuple(fn(slots) for fn in fns) not in relation
-
-    def negate(slots, resolver, stats):
-        if negate_test(slots, resolver):
+    def step(slots, resolver, stats):
+        if test(slots):
             yield None
 
-    negate.inline_spec = ("rfilter", negate_test)
+    step.inline_spec = ("filter", test)
+    return step
+
+
+def _never(_slots):
+    return False
+
+
+def _raising(error):
+    """A step raising ``error(slots)`` whenever evaluation reaches it."""
+
+    def fail(slots):
+        raise error(slots)
+
+    return _filter(fail)
+
+
+def _assign(index, value_fn):
+    """A step binding slot ``index`` to ``value_fn(slots)``."""
+
+    def step(slots, resolver, stats):
+        slots[index] = value_fn(slots)
+        yield None
+
+    step.inline_spec = ("assign", index, value_fn)
+    return step
+
+
+def _compile_negation(lit_index, negation, slot_of, bound):
+    """Compile ``not atom``; raises when reached if the atom is not
+    ground at that point."""
+    atom = negation.atom
+    if all(_vars_within(arg, bound) for arg in atom.args):
+        fns = tuple(_compile_eval(arg, slot_of) for arg in atom.args)
+
+        def test(slots, resolver):
+            relation = resolver(lit_index, atom)
+            return tuple(fn(slots) for fn in fns) not in relation
+    else:
+        resolved = tuple(
+            _compile_resolve(arg, slot_of, bound) for arg in atom.args
+        )
+
+        def test(slots, resolver):
+            resolver(lit_index, atom)
+            for fn in resolved:
+                if not isinstance(fn(slots), Constant):
+                    raise EvaluationError(
+                        "negated atom %s not ground at evaluation time"
+                        % atom.pred
+                    )
+
+    def negate(slots, resolver, stats):
+        if test(slots, resolver):
+            yield None
+
+    negate.inline_spec = ("rfilter", test)
     return negate
 
 
-def _compile_comparison(comparison, slot_of, bound, alloc):
-    """Compile a comparison literal; None when outside the fragment.
+def _is_value(term, bound, top):
+    """True if ``term`` acts as a ground value in a unification.
 
-    The supported fragment covers every comparison the legacy evaluator
-    handles without raising: both-sides-ground tests, ``=``/``is``/``in``
-    binding a fresh flat variable or decomposing into a structured
-    pattern.  Comparisons the legacy path would *raise* on (non-ground
-    ordering operands, unbound right sides of ``is``/``in``) are left to
-    the fallback so the error surface is unchanged.
+    At the top level of a ``=`` both sides are resolved first, which
+    folds ground compounds to constants; below it, compounds unify
+    structurally however ground they are.
+    """
+    if isinstance(term, Constant):
+        return True
+    if isinstance(term, Variable):
+        return term.name in bound
+    return top and _vars_within(term, bound)
+
+
+def _compile_unify(left, right, slot_of, bound, alias, alloc, top=True):
+    """Compile the unification ``left = right`` to a list of steps.
+
+    Mirrors :func:`repro.datalog.unify.unify`, decided statically: a
+    free variable facing a value is assigned, one facing anything else
+    is aliased (no step at all), a compound facing a value becomes a
+    decomposing matcher, and two compounds unify argument by argument
+    (or never, on a functor or arity clash).  Like ``eval_comparison``
+    the top level resolves both sides in full; argument pairs below it
+    only walk their alias chains, as ``unify`` does.
+    """
+    if top:
+        left = _deref(left, alias)
+        right = _deref(right, alias)
+    else:
+        left = _walk(left, alias)
+        right = _walk(right, alias)
+    left_value = _is_value(left, bound, top)
+    right_value = _is_value(right, bound, top)
+    if left_value and right_value:
+        left_fn = _compile_eval(left, slot_of)
+        right_fn = _compile_eval(right, slot_of)
+        return [_filter(lambda slots: left_fn(slots) == right_fn(slots))]
+    if not left_value and isinstance(left, Variable):
+        free, other, other_value = left, right, right_value
+    elif not right_value and isinstance(right, Variable):
+        free, other, other_value = right, left, left_value
+    else:
+        free = None
+    if free is not None:
+        if other_value:
+            index = alloc(free.name)
+            bound.add(free.name)
+            return [_assign(index, _compile_eval(other, slot_of))]
+        if other != free:
+            alias[free.name] = other
+        return []
+    if left_value or right_value:
+        pattern, value = (right, left) if left_value else (left, right)
+        value_fn = _compile_eval(value, slot_of)
+        pattern = _deref(pattern, alias, _UNMATCHABLE)
+        matcher = _compile_match(pattern, slot_of, bound, alloc)
+        return [_filter(lambda slots: matcher(value_fn(slots), slots))]
+    if left.functor != right.functor or len(left.args) != len(right.args):
+        return [_filter(_never)]
+    steps = []
+    for left_arg, right_arg in zip(left.args, right.args):
+        steps += _compile_unify(
+            left_arg, right_arg, slot_of, bound, alias, alloc, top=False
+        )
+    return steps
+
+
+def _compile_membership(left, right_fn, slot_of, bound, alloc):
+    """Compile ``left in right`` with a ground right side."""
+
+    def members_of(slots):
+        members = right_fn(slots)
+        if not isinstance(members, (tuple, frozenset, set)):
+            raise EvaluationError(
+                "right side of 'in' is not a collection: %r" % (members,)
+            )
+        return reversed(list(members))
+
+    if _vars_within(left, bound):
+        left_fn = _compile_eval(left, slot_of)
+
+        def member_test(slots, resolver, stats):
+            needle = left_fn(slots)
+            for member in members_of(slots):
+                if member == needle:
+                    yield None
+
+        return member_test
+    if isinstance(left, Variable):
+        index = alloc(left.name)
+        bound.add(left.name)
+
+        def member_bind(slots, resolver, stats):
+            for member in members_of(slots):
+                slots[index] = member
+                yield None
+
+        return member_bind
+    matcher = _compile_match(left, slot_of, bound, alloc)
+
+    def member_match(slots, resolver, stats):
+        for member in members_of(slots):
+            if matcher(member, slots):
+                yield None
+
+    return member_match
+
+
+def _compile_comparison(comparison, slot_of, bound, alias, alloc):
+    """Compile a comparison literal to a list of steps.
+
+    ``=`` (and ``is`` over a ground right side) unify statically, see
+    :func:`_compile_unify`; ``in`` enumerates a ground collection; the
+    ordering operators and ``!=`` test two ground values.  Any other
+    combination raises the evaluation error of
+    :func:`repro.engine.builtins.eval_comparison` when reached.
     """
     op = comparison.op
     left, right = comparison.left, comparison.right
     left_ground = _vars_within(left, bound)
     right_ground = _vars_within(right, bound)
-
-    if op in ("<", "<=", ">", ">="):
-        if not (left_ground and right_ground):
-            return None
-        left_fn = _compile_eval(left, slot_of)
+    if op == "=" or (op == "is" and right_ground):
+        return _compile_unify(left, right, slot_of, bound, alias, alloc)
+    if op == "in" and right_ground:
         right_fn = _compile_eval(right, slot_of)
+        return [_compile_membership(left, right_fn, slot_of, bound, alloc)]
+    resolve_left = _compile_resolve(left, slot_of, bound)
+    resolve_right = _compile_resolve(right, slot_of, bound)
+    if op in ("is", "in"):
+        def unground(slots):
+            resolve_left(slots)
+            return EvaluationError(
+                "right side of %r is not ground: %r"
+                % (op, resolve_right(slots))
+            )
 
-        def ordered_test(slots):
-            return _ordered(op, left_fn(slots), right_fn(slots))
+        return [_raising(unground)]
+    if not (left_ground and right_ground):
+        def unground(slots):
+            return EvaluationError(
+                "comparison %s on non-ground terms %r, %r"
+                % (op, resolve_left(slots), resolve_right(slots))
+            )
 
-        def ordered(slots, resolver, stats):
-            if ordered_test(slots):
-                yield None
-
-        ordered.inline_spec = ("filter", ordered_test)
-        return ordered
-
+        return [_raising(unground)]
+    left_fn = _compile_eval(left, slot_of)
+    right_fn = _compile_eval(right, slot_of)
     if op == "!=":
-        if not (left_ground and right_ground):
-            return None
-        left_fn = _compile_eval(left, slot_of)
-        right_fn = _compile_eval(right, slot_of)
-
-        def differs_test(slots):
-            return left_fn(slots) != right_fn(slots)
-
-        def differs(slots, resolver, stats):
-            if differs_test(slots):
-                yield None
-
-        differs.inline_spec = ("filter", differs_test)
-        return differs
-
-    if op in ("=", "is"):
-        # ``is`` additionally requires a ground right side; when it is
-        # not, the legacy path raises — fall back for error parity.
-        if not right_ground:
-            if op == "is" or not left_ground:
-                return None
-            left, right = right, left
-            left_ground, right_ground = False, True
-        right_fn = _compile_eval(right, slot_of)
-        if left_ground:
-            left_fn = _compile_eval(left, slot_of)
-
-            def equals_test(slots):
-                return left_fn(slots) == right_fn(slots)
-
-            def equals(slots, resolver, stats):
-                if equals_test(slots):
-                    yield None
-
-            equals.inline_spec = ("filter", equals_test)
-            return equals
-        if isinstance(left, Variable):
-            index = alloc(left.name)
-            bound.add(left.name)
-
-            def binds(slots, resolver, stats):
-                slots[index] = right_fn(slots)
-                yield None
-
-            binds.inline_spec = ("assign", index, right_fn)
-            return binds
-        if isinstance(left, Compound):
-            matcher = _compile_match(left, slot_of, bound, alloc)
-
-            def decomposes_test(slots):
-                return matcher(right_fn(slots), slots)
-
-            def decomposes(slots, resolver, stats):
-                if decomposes_test(slots):
-                    yield None
-
-            decomposes.inline_spec = ("filter", decomposes_test)
-            return decomposes
-        return None
-
-    if op == "in":
-        if not right_ground:
-            return None
-        right_fn = _compile_eval(right, slot_of)
-        if left_ground:
-            left_fn = _compile_eval(left, slot_of)
-
-            def member_test(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
-                needle = left_fn(slots)
-                for member in reversed(list(members)):
-                    if member == needle:
-                        yield None
-
-            return member_test
-        if isinstance(left, Variable):
-            index = alloc(left.name)
-            bound.add(left.name)
-
-            def member_bind(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
-                for member in reversed(list(members)):
-                    slots[index] = member
-                    yield None
-
-            return member_bind
-        if isinstance(left, Compound):
-            matcher = _compile_match(left, slot_of, bound, alloc)
-
-            def member_match(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
-                for member in reversed(list(members)):
-                    if matcher(member, slots):
-                        yield None
-
-            return member_match
-        return None
-
-    return None
+        return [_filter(lambda slots: left_fn(slots) != right_fn(slots))]
+    return [
+        _filter(lambda slots: _ordered(op, left_fn(slots), right_fn(slots)))
+    ]
 
 
 # -- compiled bodies -------------------------------------------------
@@ -532,39 +679,37 @@ class CompiledBody:
     ``slot_of`` maps variable names to slot indexes; names listed in
     ``bound_names`` occupy the first slots in order, so callers can
     preload bindings positionally.  ``bound_after`` is the set of names
-    guaranteed ground once the body has been fully matched.
+    guaranteed ground once the body has been fully matched, and
+    ``alias`` maps each variable the body aliased (see the module
+    docstring) to the term it stands for.
 
-    When the columnar backend is enabled at construction time the body
-    additionally carries a *specialized executor* generated by
-    :mod:`repro.engine.codegen` — straight-line nested loops replacing
-    the interpreted generator stack — and can hand out batch
-    *emitters* via :meth:`emitter`.  Both produce results and counter
-    updates identical to the interpreted path; generation failure just
-    means the interpreted path is used.
+    Execution runs through a *specialized executor* generated by
+    :mod:`repro.engine.codegen` — straight-line nested loops — and the
+    body hands out batch *emitters* and *collectors* built the same
+    way.  Only when code generation fails (Python rejects more than
+    twenty statically nested blocks, so a body with more than twenty
+    scans cannot be generated) does :meth:`execute` fall back to the
+    interpreted generator stack, whose results and counter updates are
+    identical.
     """
 
     __slots__ = ("body", "bound_names", "slot_of", "nslots", "steps",
-                 "bound_after", "_runner", "_emitters", "_collectors")
+                 "bound_after", "alias", "_runner", "_fns")
 
-    def __init__(self, body, bound_names, slot_of, steps, bound_after):
+    def __init__(self, body, bound_names, slot_of, steps, bound_after,
+                 alias):
         self.body = body
         self.bound_names = bound_names
         self.slot_of = slot_of
         self.nslots = len(slot_of)
         self.steps = tuple(steps)
         self.bound_after = frozenset(bound_after)
-        # The flag is read once here so a body compiled under one
-        # backend keeps behaving identically even if the process-wide
-        # flag is flipped afterwards (the differential tests hold
-        # bodies from both backends side by side).
-        self._runner = None
-        self._emitters = {}
-        self._collectors = {}
-        if columnar_enabled():
-            try:
-                self._runner = generate_runner(self.steps)
-            except Exception:
-                self._runner = None
+        self.alias = alias
+        self._fns = {}
+        try:
+            self._runner = generate_runner(self.steps)
+        except Exception:
+            self._runner = None
 
     def make_slots(self):
         return [None] * self.nslots
@@ -572,15 +717,8 @@ class CompiledBody:
     def loader(self, names):
         """Slot indexes for preloading ``names`` positionally.
 
-        Duplicate names are allowed; the later value wins, matching the
-        successive-dict-write discipline of the legacy call sites.
-        """
-        return tuple(self.slot_of[name] for name in names)
-
-    def extractor(self, names):
-        """Slot indexes projecting a result onto ``names``.
-
-        Raises ``KeyError`` when a name can never be bound by this body.
+        Duplicate names are allowed; the later value wins, like
+        successive writes of one name into a substitution.
         """
         return tuple(self.slot_of[name] for name in names)
 
@@ -588,8 +726,7 @@ class CompiledBody:
         """Yield ``slots`` once per match, mutated in place.
 
         The same list object is yielded every time — callers must copy
-        out what they need before advancing.  Enumeration order equals
-        the legacy stack discipline exactly.
+        out what they need before advancing.
         """
         runner = self._runner
         if runner is not None:
@@ -597,7 +734,8 @@ class CompiledBody:
         return self._execute_interp(resolver, slots, stats)
 
     def _execute_interp(self, resolver, slots, stats=None):
-        """The interpreted generator-stack executor (reference path)."""
+        """The interpreted generator-stack executor, used for bodies
+        code generation cannot nest."""
         steps = self.steps
         if not steps:
             yield slots
@@ -616,6 +754,22 @@ class CompiledBody:
                 depth += 1
                 iters[depth] = steps[depth](slots, resolver, stats)
 
+    def _generated(self, key, generate, *args):
+        """Memoized ``generate(steps, *args)``; None when it fails.
+
+        Nothing is generated for a body whose runner could not be.
+        """
+        fn = self._fns.get(key)
+        if fn is None:
+            fn = False
+            if self._runner is not None:
+                try:
+                    fn = generate(self.steps, *args) or False
+                except Exception:
+                    fn = False
+            self._fns[key] = fn
+        return fn or None
+
     def emitter(self, projection):
         """A generated batch emitter for ``projection``, or None.
 
@@ -626,22 +780,13 @@ class CompiledBody:
         exact enumeration order of :meth:`execute` — callers drain each
         batch (e.g. into ``relation.add``) before the next one is
         produced, which preserves the interpreted path's visibility of
-        in-pass mutations.  Returns None when codegen is off for this
-        body or the shape is not vectorizable; callers fall back to
-        :meth:`execute`.
+        in-pass mutations.  Returns None when code generation failed
+        for this body or the shape is not vectorizable; callers fall
+        back to :meth:`execute`.
         """
-        cached = self._emitters.get(projection)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._emitters[projection] = False
-            return None
-        try:
-            fn = generate_emitter(self.steps, projection)
-        except Exception:
-            fn = None
-        self._emitters[projection] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            ("emit", projection), generate_emitter, projection
+        )
 
     def collector(self, projection):
         """A generated eager collector for ``projection``, or None.
@@ -654,18 +799,9 @@ class CompiledBody:
         callers that drain the whole match set without writing to the
         scanned relations (the bound-query path) may use it.
         """
-        cached = self._collectors.get(projection)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[projection] = False
-            return None
-        try:
-            fn = generate_collector(self.steps, projection)
-        except Exception:
-            fn = None
-        self._collectors[projection] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            ("collect", projection), generate_collector, projection
+        )
 
     def entry_collector(self, projection, loader):
         """An eager collector taking ``(resolver, values, stats)``.
@@ -675,21 +811,10 @@ class CompiledBody:
         the bound-query fast path.  ``loader`` maps value position ->
         slot index.
         """
-        key = (projection, tuple(loader))
-        cached = self._collectors.get(key)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[key] = False
-            return None
-        try:
-            fn = generate_entry_collector(
-                self.steps, projection, self.nslots, loader
-            )
-        except Exception:
-            fn = None
-        self._collectors[key] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            ("entry", projection, tuple(loader)),
+            generate_entry_collector, projection, self.nslots, loader,
+        )
 
     def bound_collector(self, projection, loader):
         """An eager collector taking ``(state, values, stats)``.
@@ -698,31 +823,20 @@ class CompiledBody:
         resolver) persists each scan's resolved relation and probe
         view across calls — see :meth:`BoundQuery.bind`.
         """
-        key = ("bound", projection, tuple(loader))
-        cached = self._collectors.get(key)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[key] = False
-            return None
-        try:
-            fn = generate_bound_collector(
-                self.steps, projection, self.nslots, loader
-            )
-        except Exception:
-            fn = None
-        self._collectors[key] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            ("bound", projection, tuple(loader)),
+            generate_bound_collector, projection, self.nslots, loader,
+        )
 
 
 def compile_body(body, bound_names=()):
-    """Compile ``body`` given ``bound_names`` pre-bound; None if outside
-    the supported fragment (callers fall back to the legacy path)."""
+    """Compile ``body`` given ``bound_names`` pre-bound."""
     slot_of = {}
     for name in bound_names:
         if name not in slot_of:
             slot_of[name] = len(slot_of)
     bound = set(slot_of)
+    alias = {}
 
     def alloc(name):
         slot = slot_of.get(name)
@@ -733,56 +847,95 @@ def compile_body(body, bound_names=()):
 
     steps = []
     for index, lit in enumerate(body):
-        if isinstance(lit, Atom):
-            steps.append(_compile_scan(index, lit, slot_of, bound, alloc))
-        elif isinstance(lit, Negation):
-            step = _compile_negation(index, lit, slot_of, bound)
-            if step is None:
-                return None
-            steps.append(step)
-        elif isinstance(lit, Comparison):
-            step = _compile_comparison(lit, slot_of, bound, alloc)
-            if step is None:
-                return None
-            steps.append(step)
-        else:
-            # Unknown literal kinds raise in the legacy evaluator; let
-            # the fallback produce that error.
-            return None
+        try:
+            steps += _compile_literal(
+                index, lit, slot_of, bound, alias, alloc
+            )
+        except RecursionError:
+            steps.append(_raising(_cyclic))
     return CompiledBody(
         tuple(body), tuple(dict.fromkeys(bound_names)), slot_of, steps,
-        bound,
+        bound, alias,
     )
 
 
-def compile_row_spec(args, compiled):
-    """Row-projection spec for argument terms, or None.
+def _compile_literal(index, lit, slot_of, bound, alias, alloc):
+    """Compile body literal number ``index`` to a list of steps."""
+    if alias:
+        lit = _deref_literal(lit, alias)
+    if isinstance(lit, Atom):
+        return [_compile_scan(index, lit, slot_of, bound, alloc)]
+    if isinstance(lit, Negation):
+        return [_compile_negation(index, lit, slot_of, bound)]
+    if isinstance(lit, Comparison):
+        return _compile_comparison(lit, slot_of, bound, alias, alloc)
+    return [_raising(
+        lambda _slots: EvaluationError("unknown literal %r" % (lit,))
+    )]
+
+
+def _head_unground(head):
+    """The ``unground`` callback of a rule head's row spec."""
+
+    def error(_position, resolved):
+        return EvaluationError(
+            "head argument of %s not ground: %r" % (head.pred, resolved)
+        )
+
+    return error
+
+
+def _premise_unground(atom):
+    """The ``unground`` callback of a trace premise's row spec."""
+
+    def error(_position, _resolved):
+        return EvaluationError(
+            "body atom %s not ground under result substitution" % atom.pred
+        )
+
+    return error
+
+
+def compile_row_spec(args, compiled, unground):
+    """Row-projection spec for argument terms.
 
     Each entry is ``("const", value)``, ``("slot", index)``, or
     ``("fn", slots -> value, frozenset(read slot indexes))``.  The spec
     form feeds both :func:`compile_row` (a plain closure) and the code
     generator's batch emitters, which substitute slot reads with direct
-    row indexing.  Returns None when an argument cannot be proven
-    ground after the body — the legacy path raises at runtime in that
-    case and the caller should fall back.
+    row indexing.  An argument the body leaves unbound becomes an
+    ``fn`` entry raising ``unground(position, resolved term)`` when a
+    match is projected.
     """
+    alias = compiled.alias
+    bound = compiled.bound_after
+    slot_of = compiled.slot_of
     spec = []
-    for arg in args:
+    for position, arg in enumerate(args):
+        if alias:
+            try:
+                arg = _deref(arg, alias)
+            except RecursionError:
+                spec.append(("fn", _raise_cyclic, frozenset()))
+                continue
         if isinstance(arg, Constant):
             spec.append(("const", arg.value))
-        elif isinstance(arg, Variable):
-            if arg.name not in compiled.bound_after:
-                return None
-            spec.append(("slot", compiled.slot_of[arg.name]))
-        else:
-            if not _vars_within(arg, compiled.bound_after):
-                return None
-            reads = frozenset(
-                compiled.slot_of[name] for name in arg.iter_variables()
-            )
-            spec.append(
-                ("fn", _compile_eval(arg, compiled.slot_of), reads)
-            )
+            continue
+        if isinstance(arg, Variable) and arg.name in bound:
+            spec.append(("slot", slot_of[arg.name]))
+            continue
+        reads = frozenset(
+            slot_of[name] for name in arg.iter_variables() if name in bound
+        )
+        if _vars_within(arg, bound):
+            spec.append(("fn", _compile_eval(arg, slot_of), reads))
+            continue
+        resolved = _compile_resolve(arg, slot_of, bound)
+
+        def fail(slots, position=position, resolved=resolved):
+            raise unground(position, resolved(slots))
+
+        spec.append(("fn", fail, reads))
     return tuple(spec)
 
 
@@ -807,30 +960,16 @@ def row_spec_fn(spec):
     return build
 
 
-def compile_row(args, compiled):
+def compile_row(args, compiled, unground):
     """Compile argument terms to ``slots -> ground value tuple``.
 
-    Used for rule heads and for trace premises.  Returns None exactly
-    when :func:`compile_row_spec` does.
+    Used for rule heads and for trace premises; see
+    :func:`compile_row_spec` for ``unground``.
     """
-    spec = compile_row_spec(args, compiled)
-    if spec is None:
-        return None
-    return row_spec_fn(spec)
+    return row_spec_fn(compile_row_spec(args, compiled, unground))
 
 
 # -- bound queries (counting-engine call shape) ----------------------
-
-
-def _bind_values(names, subst):
-    """Legacy projection of a dict substitution onto ``names``."""
-    values = []
-    for name in names:
-        term = resolve(Variable(name), subst)
-        if not isinstance(term, Constant):
-            raise ValueError("variable %s not bound" % name)
-        values.append(term.value)
-    return tuple(values)
 
 
 class BoundQuery:
@@ -838,43 +977,38 @@ class BoundQuery:
 
     ``in_names`` are preloaded from the ``values`` argument of
     :meth:`run` (duplicates allowed, later wins); each result is the
-    projection of a body match onto ``out_names``.  Falls back to the
-    legacy dict-based evaluator when the body or the projection lies
-    outside the compiled fragment, preserving error behavior.
+    projection of a body match onto ``out_names`` — or, when ``head``
+    is given, the ground ``head`` tuple of the match, which is the
+    rule-firing shape of the sharded executor.  A projected name the
+    body never binds raises ``ValueError`` when a match is projected.
     """
 
-    __slots__ = ("body", "in_names", "out_names", "compiled", "_loader",
-                 "_extract", "_out_spec", "_emit", "_nin")
+    __slots__ = ("body", "in_names", "out_names", "head", "compiled",
+                 "_loader", "_out_spec", "_emit", "_nin")
 
-    def __init__(self, body, in_names, out_names):
+    def __init__(self, body, in_names, out_names, head=None):
         self.body = tuple(body)
         self.in_names = tuple(in_names)
         self.out_names = tuple(out_names)
+        self.head = head
         compiled = compile_body(self.body, self.in_names)
-        loader = extract = out_spec = None
-        if compiled is not None:
-            try:
-                loader = compiled.loader(self.in_names)
-                extract = compiled.extractor(self.out_names)
-            except KeyError:
-                compiled = None
-            else:
-                if not set(self.out_names) <= compiled.bound_after:
-                    compiled = None
-                else:
-                    out_spec = tuple(("slot", i) for i in extract)
+        if head is None:
+            outputs = [Variable(name) for name in self.out_names]
+            names = self.out_names
+
+            def unground(position, _resolved):
+                return ValueError("variable %s not bound" % names[position])
+        else:
+            outputs = head.args
+            unground = _head_unground(head)
         self.compiled = compiled
-        self._loader = loader
-        self._extract = extract
-        self._out_spec = out_spec
-        self._emit = (
-            compiled.entry_collector(out_spec, loader)
-            if compiled is not None else None
-        )
-        self._nin = len(loader) if loader is not None else 0
+        self._loader = compiled.loader(self.in_names)
+        self._out_spec = compile_row_spec(outputs, compiled, unground)
+        self._emit = compiled.entry_collector(self._out_spec, self._loader)
+        self._nin = len(self._loader)
 
     def run(self, resolver, values, stats=None):
-        """``out_names`` value tuples for each body match.
+        """Result tuples, one per body match.
 
         Returns an iterable — an eagerly materialized list when the
         body has a generated collector (every consumer drains the
@@ -890,8 +1024,6 @@ class BoundQuery:
             # semantics on the slow path below.
             return emit(resolver, values, stats)
         compiled = self.compiled
-        if compiled is None:
-            return self._run_legacy(resolver, values, stats)
         slots = compiled.make_slots()
         for slot, value in zip(self._loader, values):
             slots[slot] = value
@@ -915,15 +1047,12 @@ class BoundQuery:
         relations may gain rows (both view kinds are maintained in
         place by ``Relation.add``), but their *identity* must not
         change.  Discard the binding when that stops holding; the
-        engines bind per evaluation run, over which it holds by
-        construction.  Results and counter updates are identical to
-        :meth:`run` with the same resolver.
+        engines bind per evaluation run (the sharded executor per
+        round), over which it holds by construction.  Results and
+        counter updates are identical to :meth:`run` with the same
+        resolver.
         """
-        compiled = self.compiled
-        emit = (
-            compiled.bound_collector(self._out_spec, self._loader)
-            if compiled is not None else None
-        )
+        emit = self.compiled.bound_collector(self._out_spec, self._loader)
         if emit is None:
             def run(values, stats=None,
                     _run=self.run, _resolver=resolver):
@@ -940,47 +1069,33 @@ class BoundQuery:
         return run
 
     def _run_execute(self, resolver, slots, stats):
-        compiled = self.compiled
-        extract = self._extract
-        for result in compiled.execute(resolver, slots, stats):
-            yield tuple(result[i] for i in extract)
-
-    def _run_legacy(self, resolver, values, stats):
-        from .join import evaluate_body
-
-        subst = {}
-        for name, value in zip(self.in_names, values):
-            subst[name] = Constant(value)
-        for result in evaluate_body(self.body, resolver, subst, stats):
-            yield _bind_values(self.out_names, result)
+        project = row_spec_fn(self._out_spec)
+        for result in self.compiled.execute(resolver, slots, stats):
+            yield project(result)
 
 
-#: Structural (body, in_names, out_names, backend flag) -> BoundQuery.
-#: The counting engines rebuild their canonical rules on every run, so
+#: Structural (body, in_names, out_names, head) -> BoundQuery.  The
+#: counting engines rebuild their canonical rules on every run, so
 #: per-engine caches recompile the same few query shapes over and over;
 #: sharing across runs is safe because a BoundQuery is immutable after
-#: construction.  The backend flag is part of the key so a query
-#: compiled under one storage backend is never served under the other
-#: (the differential tests flip the process-wide flag mid-process).
-#: Bounded defensively: real programs have few shapes, fuzzed test
-#: runs generate many.
+#: construction.  Bounded defensively: real programs have few shapes,
+#: fuzzed test runs generate many.
 _BOUND_QUERY_CACHE = {}
 _BOUND_QUERY_LIMIT = 2048
 
 
-def bound_query(body, in_names, out_names):
+def bound_query(body, in_names, out_names, head=None):
     """A shared :class:`BoundQuery`, cached on structural identity."""
-    key = (tuple(body), tuple(in_names), tuple(out_names),
-           columnar_enabled())
+    key = (tuple(body), tuple(in_names), tuple(out_names), head)
     try:
         query = _BOUND_QUERY_CACHE.get(key)
     except TypeError:
         # Unhashable terms (exotic constant values); build uncached.
-        return BoundQuery(body, in_names, out_names)
+        return BoundQuery(body, in_names, out_names, head)
     if query is None:
         if len(_BOUND_QUERY_CACHE) >= _BOUND_QUERY_LIMIT:
             _BOUND_QUERY_CACHE.clear()
-        query = BoundQuery(body, in_names, out_names)
+        query = BoundQuery(body, in_names, out_names, head)
         _BOUND_QUERY_CACHE[key] = query
     return query
 
@@ -991,11 +1106,10 @@ def bound_query(body, in_names, out_names):
 class CompiledRule:
     """A whole rule compiled for the semi-naive engine.
 
-    ``compiled`` is the body (None → fall back to the legacy rule
-    evaluator), ``head`` builds the ground head tuple from a match,
-    ``head_spec`` is the row spec the batch emitters consume, and
-    ``premises`` (built lazily, only when tracing) yields one ground
-    value tuple per positive body atom in body order.
+    ``compiled`` is the body, ``head`` builds the ground head tuple
+    from a match, ``head_spec`` is the row spec the batch emitters
+    consume, and ``premises`` (used only when tracing) yields one
+    ground value tuple per positive body atom in body order.
     """
 
     __slots__ = ("rule", "compiled", "head", "head_spec", "premises")
@@ -1003,59 +1117,32 @@ class CompiledRule:
     def __init__(self, rule):
         self.rule = rule
         compiled = compile_body(rule.body)
-        head = None
-        head_spec = None
-        premises = None
-        if compiled is not None:
-            head_spec = compile_row_spec(rule.head.args, compiled)
-            if head_spec is None:
-                compiled = None
-            else:
-                head = row_spec_fn(head_spec)
-                fns = [
-                    compile_row(atom.args, compiled)
-                    for atom in rule.body_atoms()
-                ]
-                if all(fn is not None for fn in fns):
-                    premises = tuple(fns)
         self.compiled = compiled
-        self.head = head
-        self.head_spec = head_spec if compiled is not None else None
-        self.premises = premises
-
-    @property
-    def supported(self):
-        return self.compiled is not None
-
-    @property
-    def traceable(self):
-        return self.premises is not None
+        self.head_spec = compile_row_spec(
+            rule.head.args, compiled, _head_unground(rule.head)
+        )
+        self.head = row_spec_fn(self.head_spec)
+        self.premises = tuple(
+            compile_row(atom.args, compiled, _premise_unground(atom))
+            for atom in rule.body_atoms()
+        )
 
 
-#: Structural (rule, backend flag) -> CompiledRule, mirroring
-#: ``_BOUND_QUERY_CACHE``: the rewritings rebuild structurally equal
-#: rule objects on every run, and a CompiledRule is immutable after
-#: construction, so sharing across engines is safe.  Rule equality
-#: ignores labels, which is fine — consumers read only structural
-#: parts (``rule.head.key``) from the cached instance; labels always
-#: come from the caller's own rule object.
+#: Structural rule -> CompiledRule, mirroring ``_BOUND_QUERY_CACHE``:
+#: the rewritings rebuild structurally equal rule objects on every run,
+#: and a CompiledRule is immutable after construction, so sharing
+#: across engines is safe.  Rule equality ignores labels, which is fine
+#: — consumers read only structural parts (``rule.head.key``) from the
+#: cached instance; labels always come from the caller's own rule
+#: object.
 _COMPILED_RULE_CACHE = {}
 _COMPILED_RULE_LIMIT = 2048
 
 
-def compiled_rule(rule, factory=None):
-    """A shared :class:`CompiledRule`, cached on structural identity.
-
-    ``factory`` is a test seam: callers expose a patchable module
-    attribute and pass it through, and any factory other than the real
-    :class:`CompiledRule` bypasses the cache entirely so patched
-    instances never leak into (or out of) it.
-    """
-    if factory is not None and factory is not CompiledRule:
-        return factory(rule)
-    key = (rule, columnar_enabled())
+def compiled_rule(rule):
+    """A shared :class:`CompiledRule`, cached on structural identity."""
     try:
-        cached = _COMPILED_RULE_CACHE.get(key)
+        cached = _COMPILED_RULE_CACHE.get(rule)
     except TypeError:
         # Unhashable constant values somewhere in the rule.
         return CompiledRule(rule)
@@ -1063,5 +1150,5 @@ def compiled_rule(rule, factory=None):
         if len(_COMPILED_RULE_CACHE) >= _COMPILED_RULE_LIMIT:
             _COMPILED_RULE_CACHE.clear()
         cached = CompiledRule(rule)
-        _COMPILED_RULE_CACHE[key] = cached
+        _COMPILED_RULE_CACHE[rule] = cached
     return cached

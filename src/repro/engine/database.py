@@ -121,9 +121,9 @@ class Database:
             with self._lock:
                 rel = self._relations.get(key)
                 if rel is None:
-                    # Base relations carry the intern pool so the
-                    # columnar backend (when enabled) can mirror rows
-                    # into id columns; see repro.engine.columnar.
+                    # Base relations carry the intern pool and mirror
+                    # their rows into id columns; see
+                    # repro.engine.columnar.
                     rel = Relation(name, arity, pool=self.intern_pool)
                     self._relations[key] = rel
         return rel
@@ -209,26 +209,23 @@ class Database:
         return DatabaseSnapshot(self)
 
     def storage_info(self):
-        """Storage descriptor: backend, per-relation rows and bytes.
+        """Storage descriptor: per-relation rows and id-column bytes.
 
         The ``storage`` block of the bench artifacts reads this to
-        record which backend a measurement ran under and how many
-        machine bytes the id columns hold.
+        record how many machine bytes the id columns hold.  Every
+        database relation keeps id columns, so ``backend`` is always
+        ``"columnar"``.
         """
         relations = {}
-        column_bytes = 0
-        backend = "rows"
         with self._lock:
             for key, rel in sorted(self._relations.items()):
-                info = rel.storage_info()
-                relations["%s/%d" % key] = info
-                if info["backend"] == "columnar":
-                    backend = "columnar"
-                    column_bytes += info["column_bytes"]
+                relations["%s/%d" % key] = rel.storage_info()
         return {
-            "backend": backend,
+            "backend": "columnar",
             "relations": relations,
-            "column_bytes": column_bytes,
+            "column_bytes": sum(
+                info["column_bytes"] for info in relations.values()
+            ),
             "interned_ids": len(self.intern_pool),
         }
 

@@ -24,21 +24,21 @@ nested-loop joins, which is the performance model assumed by the paper
 (the pointer-based counting implementation is "a direct access to the
 memory").
 
-Storage backends
-----------------
+Id columns
+----------
 
-A relation constructed with an intern ``pool`` while the columnar
-backend is enabled (see :mod:`repro.engine.columnar`) additionally
-mirrors every row into parallel ``array('q')`` columns of intern-pool
-ids, in insertion-log order.  The id columns never replace the value
-rows — joins, rendering, and arithmetic read the canonical values
-exactly as before, so answers are byte-identical across backends — but
-they give the relation an O(rows) machine-word serialization, columnar
-prefix pinning for epoch snapshots, and a vectorized id-scan primitive
-(:meth:`Relation.scan_ids`).
+A relation constructed with an intern ``pool`` — every database
+relation — also mirrors each row into parallel ``array('q')`` columns
+of intern-pool ids (see :mod:`repro.engine.columnar`), in insertion-log
+order.  The id columns never replace the value rows — joins,
+rendering, and arithmetic read the canonical values — but they give
+the relation an O(rows) machine-word serialization, columnar prefix
+pinning for epoch snapshots, and a vectorized id-scan primitive
+(:meth:`Relation.scan_ids`).  Engine-internal relations built without a
+pool keep row storage only.
 """
 
-from .columnar import ColumnStore, columnar_enabled
+from .columnar import ColumnStore
 
 
 class _Wildcard:
@@ -73,15 +73,11 @@ class Relation:
         #: Intern pool used for the columnar id mirror (None for plain
         #: row storage — e.g. engine-internal derived relations).
         self._pool = pool
-        #: Parallel id columns, maintained by :meth:`add` when the
-        #: columnar backend is active.  ``_ids`` row ordinals coincide
-        #: with ``_log`` positions, so both views describe the same
+        #: Parallel id columns, maintained by :meth:`add` whenever the
+        #: relation has a pool.  ``_ids`` row ordinals coincide with
+        #: ``_log`` positions, so both views describe the same
         #: insertion order.
-        self._ids = (
-            ColumnStore(arity)
-            if pool is not None and columnar_enabled()
-            else None
-        )
+        self._ids = ColumnStore(arity) if pool is not None else None
         #: Monotone mutation counter: bumped once per *new* row, so two
         #: relations with equal epochs seen by the same observer hold
         #: the same tuples.  Cross-query caches key their entries on the
@@ -286,8 +282,7 @@ class Relation:
         clone.tuples = set(self.tuples)
         clone.epoch = self.epoch
         clone._log = list(self._log)
-        # Columns copy as machine words regardless of the flag's
-        # current value — the clone keeps the backend of its source.
+        # Columns copy as machine words, not through a re-encode.
         clone._ids = None if self._ids is None else self._ids.copy()
         clone._indexes = {
             positions: {key: list(rows) for key, rows in index.items()}

@@ -23,13 +23,52 @@ rewriting.  The strategy name is ``qsq``.
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.terms import Constant
-from ..datalog.unify import resolve
+from ..datalog.unify import match_value, resolve
 from ..engine.builtins import eval_comparison
 from ..engine.instrumentation import EvalStats
-from ..engine.join import ground_head, match_atom
-from ..engine.relation import Relation
+from ..engine.relation import WILDCARD, Relation
 from ..errors import EvaluationError
 from ..rewriting.adornment import adorn_query
+
+
+def _match_atom(atom, relation, subst, stats):
+    """Yield substitutions extending ``subst`` that match ``atom``.
+
+    QSQ is the tuple-at-a-time baseline, so it keeps its own matcher:
+    positions whose argument resolves to a constant become an index
+    lookup, the rest unify against each stored row.
+    """
+    resolved = [resolve(arg, subst) for arg in atom.args]
+    pattern = tuple(
+        arg.value if isinstance(arg, Constant) else WILDCARD
+        for arg in resolved
+    )
+    open_positions = [
+        i for i, arg in enumerate(resolved)
+        if not isinstance(arg, Constant)
+    ]
+    for row in relation.match(pattern, stats):
+        stats.tuples_scanned += 1
+        extended = subst
+        for i in open_positions:
+            extended = match_value(resolved[i], row[i], extended)
+            if extended is None:
+                break
+        if extended is not None:
+            yield extended
+
+
+def _ground_head(head, subst):
+    """The ground value tuple of ``head`` under ``subst``."""
+    values = []
+    for arg in head.args:
+        resolved = resolve(arg, subst)
+        if not isinstance(resolved, Constant):
+            raise EvaluationError(
+                "head argument of %s not ground: %r" % (head.pred, resolved)
+            )
+        values.append(resolved.value)
+    return tuple(values)
 
 
 class QSQEngine:
@@ -133,7 +172,7 @@ class QSQEngine:
                 continue
             self.stats.rule_firings += 1
             for result in self._body(rule.body, 0, subst):
-                row = ground_head(rule.head, result)
+                row = _ground_head(rule.head, result)
                 if self._answer_relation(key).add(row):
                     self.stats.facts_derived += 1
                     grew = True
@@ -170,7 +209,7 @@ class QSQEngine:
             relation = self._answer_relation(key)
         else:
             relation = self.db.get(key)
-        yield from match_atom(atom, relation, subst, self.stats)
+        yield from _match_atom(atom, relation, subst, self.stats)
 
     def _holds(self, atom, subst):
         key = atom.key

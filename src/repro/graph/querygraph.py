@@ -19,9 +19,7 @@ arc classification over it, yielding the ahead/back partition used by
 Algorithm 2.
 """
 
-from ..datalog.terms import Constant, Variable
-from ..datalog.unify import resolve
-from ..engine.join import evaluate_body
+from ..engine.compile import bound_query
 from .dfs import Arc, classify_arcs
 
 
@@ -55,16 +53,6 @@ class EdgeSpec:
         )
 
 
-def _values(names, subst):
-    out = []
-    for name in names:
-        term = resolve(Variable(name), subst)
-        if not isinstance(term, Constant):
-            raise ValueError("variable %s not bound by conjunction" % name)
-        out.append(term.value)
-    return tuple(out)
-
-
 class LeftGraph:
     """The part of ``G_L`` reachable from the query constants."""
 
@@ -83,16 +71,15 @@ class LeftGraph:
         """
         results = []
         for spec in self.edge_specs:
-            subst = {
-                name: Constant(value)
-                for name, value in zip(spec.source_vars, node)
-            }
-            for result in evaluate_body(
-                spec.literals, self._resolver, subst, self.stats
-            ):
-                target = _values(spec.target_vars, result)
-                shared = _values(spec.shared_vars, result)
-                results.append((target, (spec.label, shared)))
+            query = bound_query(
+                spec.literals, spec.source_vars,
+                spec.target_vars + spec.shared_vars,
+            )
+            split = len(spec.target_vars)
+            for result in query.run(self._resolver, node, self.stats):
+                results.append(
+                    (result[:split], (spec.label, result[split:]))
+                )
         return results
 
 
@@ -117,12 +104,18 @@ def enumerate_arcs(db, spec, stats=None):
     def resolver(_index, atom):
         return db.get(atom.key)
 
+    query = bound_query(
+        spec.literals, (),
+        spec.source_vars + spec.target_vars + spec.shared_vars,
+    )
+    first = len(spec.source_vars)
+    second = first + len(spec.target_vars)
     arcs = []
-    for result in evaluate_body(spec.literals, resolver, {}, stats):
-        source = _values(spec.source_vars, result)
-        target = _values(spec.target_vars, result)
-        shared = _values(spec.shared_vars, result)
-        arcs.append(Arc(source, target, (spec.label, shared)))
+    for result in query.run(resolver, (), stats):
+        arcs.append(Arc(
+            result[:first], result[first:second],
+            (spec.label, result[second:]),
+        ))
     return arcs
 
 

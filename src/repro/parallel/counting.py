@@ -151,13 +151,9 @@ def parallel_successor_map(engine, db, workers):
     blobs = {}
     with db._lock:
         items = sorted(db._relations.items())
-    # Encode first (interning as needed — the legacy backend's pool is
-    # cold), then snapshot the value table the workers replay.
     for key, relation in items:
         blobs[key] = (
-            key[1],
-            _encode_rows(pool, _relation_rows(relation), key[1],
-                         intern=True),
+            key[1], _encode_rows(pool, _relation_rows(relation), key[1])
         )
     values = list(pool._values)
     payload = {

@@ -69,17 +69,17 @@ from collections import deque
 from multiprocessing import connection as _mp_connection
 
 from ..datalog.analysis import ProgramAnalysis
-from ..datalog.terms import Constant
-from ..datalog.unify import match_value, resolve
+from ..datalog.atoms import Comparison
+from ..datalog.terms import Constant, Variable
 from ..engine import faults
 from ..engine.columnar import ColumnStore
+from ..engine.compile import bound_query
 from ..engine.database import Database
 from ..engine.faults import FaultInjector, strip_worker_plans
 from ..engine.fixpoint import goal_filter, project_free
 from ..engine.guard import ResourceBudget
 from ..engine.instrumentation import EvalStats
 from ..engine.interning import InternPool
-from ..engine.join import evaluate_body, evaluate_rule, ground_head
 from ..engine.relation import EmptyRelation, Relation
 from ..errors import (
     DeadlineExceeded,
@@ -117,13 +117,11 @@ _BARRIER_TIMEOUT = 600.0
 # ----------------------------------------------------------------- #
 
 
-def _encode_rows(pool, rows, arity, intern=False):
+def _encode_rows(pool, rows, arity):
     """Value rows -> columnar int64 bytes via the shared intern pool.
 
-    ``intern=True`` is the coordinator's pre-synchronization mode: it
-    may still allocate fresh ids (the legacy row backend never interns
-    on insert, so the pool can be cold).  After the pool ships, every
-    encode must find its values already known — a miss there is a plan
+    Every value must already hold an id: database relations intern on
+    insert, so the pool is warm before any encode.  A miss is a plan
     violation, not a cue to allocate an id the workers don't have.
 
     Encoding runs column-at-a-time: each column is one C-level
@@ -132,10 +130,9 @@ def _encode_rows(pool, rows, arity, intern=False):
     """
     if not isinstance(rows, (list, tuple)):
         rows = list(rows)
-    lookup = pool.ident if intern else pool.peek
     try:
         columns = tuple(
-            array("q", map(lookup, (row[position] for row in rows)))
+            array("q", map(pool.peek, (row[position] for row in rows)))
             for position in range(arity)
         )
     except TypeError:
@@ -162,7 +159,7 @@ def _decode_rows(pool, data):
 
 
 def _relation_rows(relation):
-    """All rows of a relation in insertion order (both backends).
+    """All rows of a relation in insertion order.
 
     Epoch-pinned snapshot views (the serving layer's generations) carry
     no ``_log`` of their own; materializing the frozen relation first
@@ -176,39 +173,74 @@ def _relation_rows(relation):
     return list(log)
 
 
-def _bind_fact(atom, row):
-    """Substitution binding ``atom`` to the ground ``row``, or None."""
-    subst = {}
-    for arg, value in zip(atom.args, row):
-        resolved = resolve(arg, subst)
-        if isinstance(resolved, Constant):
-            if resolved.value != value:
-                return None
+def _delta_query(rule, rec, rest):
+    """A bound query firing ``rule`` for one fact of its recursive atom.
+
+    The fact's values bind ``rec``'s positions in order.  A constant or
+    a repeated variable there gets a fresh slot plus an ``=`` test
+    against it, so facts that do not match ``rec`` derive nothing.
+    Each result is a ground head row.
+    """
+    in_names = []
+    checks = []
+    for position, arg in enumerate(rec.args):
+        if isinstance(arg, Variable) and arg.name not in in_names:
+            in_names.append(arg.name)
         else:
-            subst = match_value(resolved, value, subst)
-            if subst is None:
-                return None
-    return subst
+            fresh = Variable("$%d" % position)
+            in_names.append(fresh.name)
+            checks.append(Comparison("=", arg, fresh))
+    return bound_query(
+        tuple(checks) + tuple(rest), in_names, (), head=rule.head
+    )
 
 
 def _rule_tables(program):
     """Per delta-predicate dispatch tables for the recursive rules.
 
-    Maps each predicate key to the list of ``(rule, recursive atom,
-    rest-of-body)`` entries whose recursive atom has that predicate;
-    ``rest`` preserves the original literal order minus the recursive
-    atom, so join scan order (and therefore ``tuples_scanned``)
-    matches a single-process evaluation of the same rule.
+    Maps each predicate key to the ``(head key, delta query)`` entries
+    of the recursive rules whose recursive atom has that predicate.
+    The query body keeps the original literal order minus the
+    recursive atom, so join scan order (and therefore
+    ``tuples_scanned``) matches a single-process evaluation of the
+    same rule.
     """
     analysis = ProgramAnalysis(program)
     tables = {}
     for clique in analysis.components:
         for rule in clique.recursive_rules:
             left, rec, right = clique.split_body(rule)
-            tables.setdefault(rec.key, []).append(
-                (rule, rec, tuple(left) + tuple(right))
-            )
+            tables.setdefault(rec.key, []).append((
+                rule.head.key,
+                _delta_query(rule, rec, tuple(left) + tuple(right)),
+            ))
     return tables
+
+
+def _fire_round(tables, deltas, resolver):
+    """Fire the recursive rules once per delta fact: one round's work.
+
+    ``deltas`` maps predicate keys to value rows; ``resolver`` maps a
+    body atom to the relation its scan reads, and must not change
+    during the round.  Returns the round's stats and, per head
+    predicate, the derived rows with their derivation multiplicities —
+    duplicates are *not* collapsed silently, the coordinator charges
+    them to ``facts_duplicate`` exactly as a single-process run would.
+    """
+    round_stats = EvalStats()
+    derived = {}
+    for pred_key in sorted(deltas):
+        entries = [
+            (head_key, query.bind(resolver))
+            for head_key, query in tables.get(pred_key, ())
+        ]
+        for row in deltas[pred_key]:
+            for head_key, fire in entries:
+                round_stats.rule_firings += 1
+                for head_row in fire(row, round_stats):
+                    bucket = derived.setdefault(head_key, {})
+                    bucket[head_row] = bucket.get(head_row, 0) + 1
+    return round_stats, derived
 
 
 # ----------------------------------------------------------------- #
@@ -256,28 +288,14 @@ class _WorkerState:
     def process_round(self, deltas):
         """Fire recursive rules for the routed delta facts.
 
-        Returns the per-round stats delta and, per head predicate, the
-        derived rows with their derivation multiplicities — duplicates
-        are *not* collapsed silently, the coordinator charges them to
-        ``facts_duplicate`` exactly as a single-process run would.
+        Returns the per-round stats delta and the encoded derivations
+        of :func:`_fire_round`.
         """
-        round_stats = EvalStats()
-        derived = {}
-        for pred_key in sorted(deltas):
-            rows = _decode_rows(self.pool, deltas[pred_key])
-            entries = self.rules.get(pred_key, ())
-            for row in rows:
-                for rule, rec, rest in entries:
-                    round_stats.rule_firings += 1
-                    subst = _bind_fact(rec, row)
-                    if subst is None:
-                        continue
-                    for result in evaluate_body(
-                        rest, self._resolve, subst, round_stats
-                    ):
-                        head_row = ground_head(rule.head, result)
-                        bucket = derived.setdefault(rule.head.key, {})
-                        bucket[head_row] = bucket.get(head_row, 0) + 1
+        rows = {
+            key: _decode_rows(self.pool, blob)
+            for key, blob in deltas.items()
+        }
+        round_stats, derived = _fire_round(self.rules, rows, self._resolve)
         self.stats.merge(round_stats)
         if self.budget is not None:
             self.budget.check(self.stats)
@@ -503,23 +521,7 @@ class _InlineWorker:
         return self.engine.db.get(atom.key)
 
     def process_round(self, deltas):
-        round_stats = EvalStats()
-        derived = {}
-        for pred_key in sorted(deltas):
-            entries = self.rules.get(pred_key, ())
-            for row in deltas[pred_key]:
-                for rule, rec, rest in entries:
-                    round_stats.rule_firings += 1
-                    subst = _bind_fact(rec, row)
-                    if subst is None:
-                        continue
-                    for result in evaluate_body(
-                        rest, self._resolve, subst, round_stats
-                    ):
-                        head_row = ground_head(rule.head, result)
-                        bucket = derived.setdefault(rule.head.key, {})
-                        bucket[head_row] = bucket.get(head_row, 0) + 1
-        return round_stats, derived
+        return _fire_round(self.rules, deltas, self._resolve)
 
 
 class ParallelEngine:
@@ -592,9 +594,6 @@ class ParallelEngine:
     def _spawn_pool(self):
         pool_size = self.workers
         pool = self.db.intern_pool
-        # Encode before snapshotting the value table: under the legacy
-        # row backend inserts never intern, so shard encoding is what
-        # assigns the dense ids the workers will replay.
         shard_blobs = [dict() for _ in range(pool_size)]
         for key, column in sorted(self.plan.sharded.items()):
             rows = _relation_rows(self.db.get(key))
@@ -602,26 +601,14 @@ class ParallelEngine:
                 shard_rows(rows, column, pool_size, pool)
             ):
                 shard_blobs[index][key] = (
-                    key[1], _encode_rows(pool, shard, key[1], intern=True)
+                    key[1], _encode_rows(pool, shard, key[1])
                 )
         for key in self.plan.broadcast:
             blob = _encode_rows(
-                pool, _relation_rows(self.db.get(key)), key[1],
-                intern=True,
+                pool, _relation_rows(self.db.get(key)), key[1]
             )
             for index in range(pool_size):
                 shard_blobs[index][key] = (key[1], blob)
-        # Coordinator-only base relations still feed delta rows through
-        # the exit rounds, so their values must be in the shipped table
-        # too (the columnar backend interns on insert; the legacy one
-        # does not).
-        shipped = set(self.plan.sharded) | set(self.plan.broadcast)
-        ident_row = pool.ident_row
-        for key in sorted(self.analysis.base_predicates()):
-            if key in shipped:
-                continue
-            for row in _relation_rows(self.db.get(key)):
-                ident_row(row)
         values = list(pool._values)
         replicas = sorted(
             key
@@ -1121,7 +1108,9 @@ class ParallelEngine:
         """Evaluate a clique's exit rules on the coordinator."""
         deltas = {}
         for rule in clique.exit_rules:
-            for row in evaluate_rule(rule, self._resolve, self.stats):
+            self.stats.rule_firings += 1
+            query = bound_query(rule.body, (), (), head=rule.head)
+            for row in query.run(self._resolve, (), self.stats):
                 self._integrate(rule.head.key, row, 1, deltas)
         self._round_boundary()
         return deltas

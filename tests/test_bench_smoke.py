@@ -30,11 +30,11 @@ def test_write_smoke_artifact(tmp_path):
     assert 0.0 < cache_block["hit_rate"] <= 1.0
     assert cache_block["counting_table_reuse"] > 0
     storage = payload["storage"]
-    assert storage["counters_match"] is True
-    assert {r["backend"] for r in storage["rows"]} == {"rows"}
-    assert {r["backend"] for r in storage["columnar"]} == {"columnar"}
+    assert set(storage) == {"columnar"}
     for record in storage["columnar"]:
         assert record["column_bytes"] > 0
+        assert record["answers"] > 0
+        assert record["work"] > 0
         assert record["elapsed"] >= 0.0
     healing = payload["self_healing"]
     assert healing["answers_match"] is True

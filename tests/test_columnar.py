@@ -1,36 +1,30 @@
-"""Differential suite for the columnar storage backend.
+"""The storage layer's columnar id mirror, and the oracle matrix.
 
-The contract of ``REPRO_COLUMNAR`` (see :mod:`repro.engine.columnar`)
-is observational equivalence: both backends must produce byte-identical
-rendered answers and identical semantic work counters on every workload
-and strategy.  This suite enforces that over the full paper matrix —
-the e1–e10 experiment shapes plus the S1 (``sg_cylinder``) and S3
-(``sg_forest``) workloads — and covers the storage primitives the
-equivalence rests on: the :class:`ColumnStore` id mirror, the lossless
-decode contract, and ``pinned()`` prefix snapshots under concurrent
-writers.
+Every strategy must produce the rendered answers of the independent
+tuple-at-a-time oracle (``tests/oracle.py``) on every workload it
+applies to — the e1–e10 experiment shapes plus the S1
+(``sg_cylinder``) and S3 (``sg_forest``) workloads.  The rest of the
+suite covers the storage primitives those answers rest on: the
+:class:`ColumnStore` id mirror, the lossless decode contract, and
+``pinned()`` prefix snapshots under concurrent writers.
 """
 
+import functools
 import threading
 
 import pytest
 
 from repro.data.workloads import WORKLOADS
-from repro.datalog.pretty import format_value
-from repro.engine.columnar import (
-    ColumnStore,
-    columnar_enabled,
-    set_columnar,
-    use_backend,
-)
+from repro.engine.columnar import ColumnStore
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.exec.strategies import run_strategy
+from tests import oracle
 
 #: Every (workload, strategy) cell of the paper matrix.  This spans the
 #: program shapes of experiments e1–e10 (trees, chains, multi-rule,
 #: shared variables, cyclic data, mixed/right/left-linear) plus the S1
-#: cylinder and S3 forest workloads named by the issue.
+#: cylinder and S3 forest workloads.
 MATRIX = [
     (wname, sname)
     for wname, workload in sorted(WORKLOADS.items())
@@ -38,73 +32,22 @@ MATRIX = [
 ]
 
 
-def _render(answers):
-    """Render an answer set exactly as the CLI would print it.
-
-    Sorted, formatted through :func:`format_value`, encoded — the
-    "byte-identical rendered answers" half of the backend contract.
-    """
-    lines = sorted(
-        "(%s)" % ", ".join(format_value(v) for v in row)
-        for row in answers
-    )
-    return "\n".join(lines).encode("utf-8")
-
-
-def _run(backend, wname, sname):
+@functools.lru_cache(maxsize=None)
+def _oracle_rendered(wname):
     workload = WORKLOADS[wname]
-    with use_backend(backend):
-        db, _source = workload.make_db()
-        result = run_strategy(sname, workload.query, db)
-    return _render(result.answers), dict(result.stats.as_dict())
+    db, _source = workload.make_db()
+    return oracle.render(oracle.query_answers(workload.query, db))
 
 
 class TestDifferentialBackends:
+    """Each strategy's engine against the oracle evaluator."""
+
     @pytest.mark.parametrize("wname,sname", MATRIX)
     def test_backends_agree(self, wname, sname):
-        rows_rendered, rows_stats = _run(False, wname, sname)
-        col_rendered, col_stats = _run(True, wname, sname)
-        assert rows_rendered == col_rendered
-        # The headline counters first, for a readable failure…
-        assert rows_stats["facts_derived"] == col_stats["facts_derived"]
-        assert rows_stats["iterations"] == col_stats["iterations"]
-        # …then the whole dict: *every* semantic work counter must
-        # match, including index_probes (the A3 ablation reads it) and
-        # tuples_scanned.
-        assert rows_stats == col_stats
-
-    def test_backend_flag_roundtrip(self):
-        before = columnar_enabled()
-        with use_backend(not before):
-            assert columnar_enabled() is (not before)
-            with use_backend(before):
-                assert columnar_enabled() is before
-            assert columnar_enabled() is (not before)
-        assert columnar_enabled() is before
-
-    def test_set_columnar_returns_previous(self):
-        before = columnar_enabled()
-        try:
-            assert set_columnar(not before) is before
-            assert set_columnar(before) is (not before)
-        finally:
-            set_columnar(before)
-
-    def test_relations_keep_construction_backend(self):
-        # The flag is read at construction; existing relations keep
-        # their backend, which is what lets this suite hold one
-        # relation per backend side by side.
-        pool_db = Database()
-        with use_backend(True):
-            columnar = pool_db.relation("c", 2)
-            columnar.add(("a", "b"))
-        with use_backend(False):
-            rows = pool_db.relation("r", 2)
-            rows.add(("a", "b"))
-            assert columnar.columnar
-            assert columnar.storage_info()["backend"] == "columnar"
-        assert not rows.columnar
-        assert rows.storage_info()["backend"] == "rows"
+        workload = WORKLOADS[wname]
+        db, _source = workload.make_db()
+        result = run_strategy(sname, workload.query, db)
+        assert oracle.render(result.answers) == _oracle_rendered(wname)
 
 
 class TestColumnStore:
@@ -166,20 +109,18 @@ class TestColumnStore:
 
 class TestDecodeContract:
     def test_decode_ordinal_matches_insertion_log(self):
-        with use_backend(True):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rows = [("n%d" % i, "n%d" % (i + 1)) for i in range(50)]
-            rel.add_all(rows)
+        db = Database()
+        rel = db.relation("edge", 2)
+        rows = [("n%d" % i, "n%d" % (i + 1)) for i in range(50)]
+        rel.add_all(rows)
         for ordinal, row in enumerate(rows):
             assert rel.decode_ordinal(ordinal) == row
         assert rel.column_bytes() == rel._ids.to_bytes()
 
     def test_row_backend_has_no_columns(self):
-        with use_backend(False):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rel.add(("a", "b"))
+        # A relation built without an intern pool keeps row storage.
+        rel = Relation("edge", 2)
+        rel.add(("a", "b"))
         for probe in (
             lambda: rel.id_column(0),
             lambda: rel.id_row(0),
@@ -190,10 +131,9 @@ class TestDecodeContract:
                 probe()
 
     def test_scan_ids_matches_lookup(self):
-        with use_backend(True):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rel.add_all([("a", "b"), ("c", "b"), ("a", "d")])
+        db = Database()
+        rel = db.relation("edge", 2)
+        rel.add_all([("a", "b"), ("c", "b"), ("a", "d")])
         ordinals = rel.scan_ids((0,), ("a",))
         decoded = {rel.decode_ordinal(o) for o in ordinals}
         assert decoded == set(rel.lookup((0,), "a"))
@@ -206,10 +146,11 @@ class TestPinnedUnderConcurrentWriters:
 
     ROWS = 400
 
-    def _hammer(self, backend):
-        with use_backend(backend):
-            db = Database()
-            rel = db.relation("edge", 2)
+    def _hammer(self, columnar):
+        if columnar:
+            rel = Database().relation("edge", 2)
+        else:
+            rel = Relation("edge", 2)
         stop = threading.Event()
         failures = []
 
@@ -262,55 +203,48 @@ class TestPinnedUnderConcurrentWriters:
         assert not rel.columnar
 
     def test_pinned_views_agree_across_backends(self):
+        # A pool relation (id columns) and a pool-less one (rows only)
+        # pin identical row prefixes.
         rows = [("p%d" % i, "p%d" % (i + 1)) for i in range(64)]
-        views = {}
-        for backend in (False, True):
-            with use_backend(backend):
-                db = Database()
-                rel = db.relation("edge", 2)
-                rel.add_all(rows)
-            views[backend] = rel.pinned(32)
+        columnar = Database().relation("edge", 2)
+        plain = Relation("edge", 2)
+        for rel in (columnar, plain):
+            rel.add_all(rows)
+        views = {True: columnar.pinned(32), False: plain.pinned(32)}
         assert views[False].tuples == views[True].tuples
         assert views[False]._log == views[True]._log
         assert views[True]._ids is not None
         assert len(views[True]._ids) == 32
 
     def test_snapshot_equivalence_across_backends(self):
-        # A database snapshot pins every relation; both backends must
-        # expose the same frozen rows through it.
-        contents = {}
-        for backend in (False, True):
-            with use_backend(backend):
-                db = Database()
-                rel = db.relation("edge", 2)
-                rel.add_all([("a", "b"), ("b", "c")])
-                snap = db.snapshot()
-                rel.add(("c", "d"))
-                contents[backend] = set(snap.get(("edge", 2)))
-        assert contents[False] == contents[True] == {
+        # A database snapshot exposes the same frozen rows as a
+        # pool-less relation pinned at the same epoch.
+        db = Database()
+        rel = db.relation("edge", 2)
+        plain = Relation("edge", 2)
+        for target in (rel, plain):
+            target.add_all([("a", "b"), ("b", "c")])
+        snap = db.snapshot()
+        pinned = plain.pinned(plain.epoch)
+        rel.add(("c", "d"))
+        plain.add(("c", "d"))
+        assert set(snap.get(("edge", 2))) == set(pinned) == {
             ("a", "b"), ("b", "c"),
         }
 
 
 class TestStorageInfo:
     def test_database_storage_info(self):
-        for backend, expected in ((True, "columnar"), (False, "rows")):
-            with use_backend(backend):
-                db = Database()
-                db.add_fact("edge", "a", "b")
-            info = db.storage_info()
-            assert info["backend"] == expected
-            assert "edge/2" in info["relations"]
-            if backend:
-                assert info["column_bytes"] > 0
-            else:
-                assert info["column_bytes"] == 0
+        db = Database()
+        db.add_fact("edge", "a", "b")
+        info = db.storage_info()
+        assert info["backend"] == "columnar"
+        assert info["relations"]["edge/2"]["backend"] == "columnar"
+        assert info["column_bytes"] > 0
 
     def test_relation_without_pool_stays_rows(self):
-        # Bare relations (no intern pool) cannot encode ids, whatever
-        # the flag says.
-        with use_backend(True):
-            rel = Relation("scratch", 2)
+        # Bare relations (no intern pool) cannot encode ids.
+        rel = Relation("scratch", 2)
         rel.add(("a", "b"))
         assert not rel.columnar
         assert rel.storage_info()["backend"] == "rows"

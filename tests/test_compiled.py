@@ -1,28 +1,34 @@
-"""The set-at-a-time compiled join path: parity with the legacy
-tuple-at-a-time evaluator, batched relation lookups, and constant
-interning.
+"""The compiled join path: agreement with the tuple-at-a-time oracle,
+batched relation lookups, and constant interning.
 
-The compiled engine's contract is strict: on the supported fragment it
-must enumerate the same results in the same order as the legacy stack
-evaluator and update the paper's work counters identically — so most
-tests here are differential.
+The compiled engine's contract is strict: it must enumerate the same
+results in the same order as the reference evaluator in
+``tests/oracle.py`` and update the paper's work counters identically —
+so most tests here are differential.
 """
 
 import pytest
 
 from repro import Database, parse_program
+from repro.datalog.terms import Constant
 from repro.engine import EvalStats, SemiNaiveEngine
-from repro.engine.compile import BoundQuery, CompiledRule, compile_body
+from repro.engine.compile import (
+    BoundQuery,
+    CompiledRule,
+    compile_body,
+    compiled_rule,
+)
 from repro.engine.interning import InternPool
-from repro.engine.join import evaluate_body
 from repro.engine.relation import WILDCARD, EmptyRelation, Relation
 from repro.engine.seminaive import evaluate_program
+from repro.errors import EvaluationError
 from repro.exec.strategies import run_strategy
+from tests import oracle
 
 
 WORK_KEYS = (
     "rule_firings", "tuples_scanned", "facts_derived",
-    "facts_duplicate", "iterations",
+    "facts_duplicate", "iterations", "index_probes",
 )
 
 
@@ -31,83 +37,69 @@ def work_counters(stats):
     return {k: d[k] for k in WORK_KEYS}
 
 
-class _Unsupported(CompiledRule):
-    """A CompiledRule stub that always reports the legacy fallback."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        self.compiled = None
-        self.head = None
-        self.premises = None
-
-
-def run_legacy(monkeypatch, program, db):
-    """Evaluate via the legacy path only, returning (derived, stats)."""
-    import repro.engine.seminaive as seminaive
-
-    monkeypatch.setattr(seminaive, "CompiledRule", _Unsupported)
-    stats = EvalStats()
-    derived = evaluate_program(program, db, stats=stats)
-    monkeypatch.undo()
-    return derived, stats
-
-
-def run_compiled(program, db):
-    stats = EvalStats()
-    derived = evaluate_program(program, db, stats=stats)
-    return derived, stats
-
-
-def assert_differential(monkeypatch, text, facts):
+def assert_differential(text, facts):
+    """Engine and oracle agree on derived relations and work."""
     program = parse_program(text)
-    db_a = Database.from_text(facts)
-    db_b = Database.from_text(facts)
-    compiled, cstats = run_compiled(program, db_a)
-    legacy, lstats = run_legacy(monkeypatch, program, db_b)
-    assert {k: set(rel) for k, rel in compiled.items()} == {
-        k: set(rel) for k, rel in legacy.items()
+    engine_stats = EvalStats()
+    derived = evaluate_program(
+        program, Database.from_text(facts), stats=engine_stats
+    )
+    oracle_stats = EvalStats()
+    expected = oracle.evaluate_program(
+        program, Database.from_text(facts), stats=oracle_stats
+    )
+    assert {k: set(rel) for k, rel in derived.items()} == {
+        k: set(rel) for k, rel in expected.items()
     }
-    assert work_counters(cstats) == work_counters(lstats)
-    return compiled, cstats
+    assert work_counters(engine_stats) == work_counters(oracle_stats)
+    return derived, engine_stats
+
+
+def outcome(evaluate, text, facts):
+    """Sorted derived ``p`` rows, or the EvaluationError message."""
+    program = parse_program(text)
+    try:
+        derived = evaluate(program, Database.from_text(facts))
+    except EvaluationError as exc:
+        return "error: %s" % exc
+    key = program.rules[0].head.key
+    return sorted(derived.get(key, ()))
 
 
 class TestCompiledVsLegacy:
-    def test_flat_join(self, monkeypatch):
+    """Named for the evaluator the oracle was moved out of."""
+
+    def test_flat_join(self):
         assert_differential(
-            monkeypatch,
             "path(X, Y) :- edge(X, Y). "
             "path(X, Y) :- edge(X, Z), path(Z, Y).",
             "edge(a, b). edge(b, c). edge(c, d). edge(a, c).",
         )
 
-    def test_repeated_variable(self, monkeypatch):
+    def test_repeated_variable(self):
         assert_differential(
-            monkeypatch,
             "loop(X) :- edge(X, X). refl(X, X) :- node(X).",
             "edge(a, a). edge(a, b). edge(c, c). node(a). node(b).",
         )
 
-    def test_constants_and_comparisons(self, monkeypatch):
+    def test_constants_and_comparisons(self):
         assert_differential(
-            monkeypatch,
             "big(X) :- val(X, N), N > 2. "
             "next(X, M) :- val(X, N), M is N + 1. "
             "special(X) :- val(X, 3).",
             "val(a, 1). val(b, 3). val(c, 5).",
         )
 
-    def test_negation(self, monkeypatch):
+    def test_negation(self):
         assert_differential(
-            monkeypatch,
             "orphan(X) :- node(X), not parent(X). "
             "parent(X) :- edge(X, Y).",
             "node(a). node(b). node(c). edge(a, b).",
         )
 
-    def test_structured_list_terms(self, monkeypatch):
+    def test_structured_list_terms(self):
         # The extended-counting shape: path arguments as cons cells.
         assert_differential(
-            monkeypatch,
             "p(X, [X]) :- seed(X). "
             "p(Y, [Y | L]) :- p(X, L), edge(X, Y). "
             "first(H) :- p(x3, [H | T]).",
@@ -123,7 +115,7 @@ class TestCompiledVsLegacy:
 
     def test_enumeration_order_identical(self):
         # Order matters downstream (counting-table discovery order);
-        # compare the compiled executor against the legacy stack
+        # compare the compiled executor against the oracle's stack
         # discipline directly on one body.
         program = parse_program(
             "q(X, Z) :- e(X, Y), e(Y, Z)."
@@ -137,35 +129,103 @@ class TestCompiledVsLegacy:
             return db.get(atom.key)
 
         compiled = CompiledRule(rule)
-        assert compiled.supported
         body = compiled.compiled
         got = [
             compiled.head(slots)
             for slots in body.execute(resolver, body.make_slots())
         ]
-        from repro.engine.join import ground_head
-
         expected = [
-            ground_head(rule.head, subst)
-            for subst in evaluate_body(rule.body, resolver, {})
+            oracle.ground_head(rule.head, subst)
+            for subst in oracle.evaluate_body(rule.body, resolver, {})
         ]
         assert got == expected
 
 
+#: Bodies at the edge of the compiled fragment, over one fact set.
+PROBE_FACTS = "e(a,b). f(a). r(1). r(2). q(1)."
+
+ANSWER_PROBES = [
+    ("alias-both-unbound",
+     "p(X, Z) :- X = Y, e(X, Z), f(Y).", [("a", "b")]),
+    ("partial-structure",
+     "p(L) :- r(X), L = [X | T], T = [].", [((1,),), ((2,),)]),
+    ("alias-chain",
+     "p(X) :- r(X), X = Y, Y = Z, Z < 2.", [(1,)]),
+    ("compound-vs-compound",
+     "p(X) :- r(X), [X | T] = [Y | U], T = U, U = [], Y > 0.",
+     [(1,), (2,)]),
+    ("decompose-ground-list",
+     "p(A, B) :- r(X), [A | B] = [X, 9].", [(1, (9,)), (2, (9,))]),
+    ("arithmetic-alias",
+     "p(X, Y) :- Y = X + 1, r(X).", [(1, 2), (2, 3)]),
+]
+
+ERROR_PROBES = [
+    ("negation-unbound",
+     "p(X) :- not q(X), r(X).", "negated atom q not ground"),
+    ("comparison-unbound",
+     "p(X) :- X < 3, r(X).", "comparison < on non-ground terms"),
+    ("head-unground",
+     "p(X, Y) :- r(X).", "head argument of p not ground"),
+    ("head-partial-structure",
+     "p(L) :- r(X), L = [X | T].", "head argument of p not ground"),
+    ("is-unbound-right",
+     "p(X) :- r(X), Y is Z + 1.", "right side of 'is' is not ground"),
+    ("in-unbound-right",
+     "p(X) :- r(X), Y in Z.", "right side of 'in' is not ground"),
+    ("neq-unbound",
+     "p(X) :- r(X), X != Y.", "comparison != on non-ground terms"),
+]
+
+
+class TestFragmentCoverage:
+    """Bodies a dict-substitution evaluator accepts — or rejects — run
+    through the compiled path with the same outcome."""
+
+    @pytest.mark.parametrize(
+        "text,expected", [p[1:] for p in ANSWER_PROBES],
+        ids=[p[0] for p in ANSWER_PROBES],
+    )
+    def test_answers_match_oracle(self, text, expected):
+        got = outcome(evaluate_program, text, PROBE_FACTS)
+        assert got == outcome(oracle.evaluate_program, text, PROBE_FACTS)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "text,prefix", [p[1:] for p in ERROR_PROBES],
+        ids=[p[0] for p in ERROR_PROBES],
+    )
+    def test_error_matches_oracle(self, text, prefix):
+        got = outcome(evaluate_program, text, PROBE_FACTS)
+        assert got == outcome(oracle.evaluate_program, text, PROBE_FACTS)
+        assert got.startswith("error: " + prefix)
+
+    def test_error_raised_when_reached(self):
+        # The failing literal sits behind an empty scan: never reached,
+        # so the rule derives nothing instead of raising.
+        assert outcome(
+            evaluate_program, "p(X) :- s(X), X < Y.", PROBE_FACTS
+        ) == []
+
+    def test_body_beyond_codegen_nesting_runs_interpreted(self):
+        # Python rejects more than twenty statically nested blocks, so
+        # a 21-scan body cannot be generated and runs on the
+        # interpreted executor.
+        length = 21
+        body = ", ".join(
+            "c(X%d, X%d)" % (i, i + 1) for i in range(length)
+        )
+        text = "p(X0, X%d) :- %s." % (length, body)
+        facts = " ".join("c(n%d, n%d)." % (i, i + 1) for i in range(25))
+        rule = parse_program(text).rules[0]
+        assert compiled_rule(rule).compiled._runner is None
+        derived, _stats = assert_differential(text, facts)
+        assert sorted(derived[("p", 2)]) == [
+            ("n%d" % i, "n%d" % (i + length)) for i in range(25 - length + 1)
+        ]
+
+
 class TestCompiledFragment:
-    def test_unbound_negation_falls_back(self):
-        program = parse_program("p(X) :- not q(X), r(X).")
-        assert compile_body(program.rules[0].body) is None
-
-    def test_unbound_comparison_falls_back(self):
-        program = parse_program("p(X) :- X < 3, r(X).")
-        assert compile_body(program.rules[0].body) is None
-
-    def test_unsupported_rule_reports_fallback(self):
-        program = parse_program("p(X) :- X < 3, r(X).")
-        compiled = CompiledRule(program.rules[0])
-        assert not compiled.supported
-
     def test_supported_body_binds_all(self):
         program = parse_program("p(X, Y) :- e(X, Y), Y != X.")
         compiled = compile_body(program.rules[0].body)
@@ -194,6 +254,8 @@ class TestBoundQuery:
         assert got == {("b", "n1"), ("c", "n2")}
 
     def test_compiled_matches_legacy_order_and_stats(self):
+        # Same results in the same order, and the same scan and probe
+        # counts, as the oracle evaluating the body under the binding.
         program = parse_program("q(X) :- e(X, Y), f(Y, Z).")
         body = program.rules[0].body
         resolver = self.make_resolver(
@@ -203,9 +265,15 @@ class TestBoundQuery:
         fast_stats = EvalStats()
         fast = list(query.run(resolver, ("a",), fast_stats))
         slow_stats = EvalStats()
-        slow = list(query._run_legacy(resolver, ("a",), slow_stats))
+        slow = [
+            oracle.project(subst, ("Y", "Z"))
+            for subst in oracle.evaluate_body(
+                body, resolver, {"X": Constant("a")}, slow_stats
+            )
+        ]
         assert fast == slow
         assert fast_stats.tuples_scanned == slow_stats.tuples_scanned
+        assert fast_stats.index_probes == slow_stats.index_probes
 
     def test_duplicate_in_names_later_wins(self):
         program = parse_program("q(X) :- e(X, Y).")
@@ -213,6 +281,13 @@ class TestBoundQuery:
         resolver = self.make_resolver("e(a, b). e(z, w).")
         query = BoundQuery(body, ("X", "X"), ("Y",))
         assert set(query.run(resolver, ("z", "a"))) == {("b",)}
+
+    def test_unbound_projection_raises(self):
+        program = parse_program("q(X) :- e(X, Y).")
+        query = BoundQuery(program.rules[0].body, ("X",), ("Z",))
+        resolver = self.make_resolver("e(a, b).")
+        with pytest.raises(ValueError, match="variable Z not bound"):
+            list(query.run(resolver, ("a",)))
 
 
 class TestRelationLookup:
