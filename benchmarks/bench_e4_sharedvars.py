@@ -19,7 +19,7 @@ from _common import assert_claims, make_timer, work_of
 
 from repro.bench import matrix_table, run_matrix
 from repro.data.workloads import WORKLOADS
-from repro.exec.strategies import run_naive
+from repro.exec.strategies import run_strategy
 
 WORKLOAD = WORKLOADS["shared_vars"]
 METHODS = ["naive", "magic", "extended_counting", "pointer_counting"]
@@ -55,7 +55,7 @@ def test_e4_time_depth12(benchmark, method, rows):
 def test_e4_decoys_do_not_leak(rows, benchmark):
     def check():
         db, _source = WORKLOAD.make_db(depth=12)
-        answers = run_naive(WORKLOAD.query, db).answers
+        answers = run_strategy("naive", WORKLOAD.query, db).answers
         assert all(not value.startswith("z") for (value,) in answers)
         # run_matrix already cross-checked every method against the
         # first; a single non-empty answer set certifies the workload

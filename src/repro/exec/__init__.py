@@ -17,20 +17,7 @@ from .weak_stratification import (
     wavefront_counting_table,
     weakly_stratified_counting_table,
 )
-from .strategies import (
-    STRATEGIES,
-    ExecutionResult,
-    run_classical_counting,
-    run_cyclic_counting,
-    run_extended_counting,
-    run_magic,
-    run_magic_counting,
-    run_naive,
-    run_pointer_counting,
-    run_qsq,
-    run_reduced_counting,
-    run_strategy,
-)
+from .strategies import STRATEGIES, ExecutionResult, run_strategy
 
 __all__ = [
     "AnswerCache",
@@ -48,17 +35,8 @@ __all__ = [
     "QSQEngine",
     "STRATEGIES",
     "qsq_evaluate",
-    "run_qsq",
     "run_resilient",
     "recurring_nodes",
-    "run_classical_counting",
-    "run_cyclic_counting",
-    "run_extended_counting",
-    "run_magic",
-    "run_magic_counting",
-    "run_naive",
-    "run_pointer_counting",
-    "run_reduced_counting",
     "run_strategy",
     "tables_equivalent",
     "wavefront_counting_table",

@@ -241,9 +241,10 @@ class CountingEngine:
         #: :class:`~repro.engine.compile.BoundQuery`), keyed by rule
         #: identity.  Each body is compiled once and re-run under fresh
         #: positional bindings for every node/state, replacing the
-        #: per-visit dict-substitution evaluation.  A prepared query
-        #: passes a shared ``query_cache`` dict so the compilation
-        #: survives across engine instances for the same clique.
+        #: per-visit dict-substitution evaluation.  The counting
+        #: strategies pass their prepared form's ``query_cache`` dict so
+        #: the compilation survives across engine instances for the
+        #: same clique.
         self._queries = query_cache if query_cache is not None else {}
         #: Per-engine bound runners (``BoundQuery.bind``): these embed
         #: this engine's resolver and its hoisted relation/view state,

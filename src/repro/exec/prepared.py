@@ -1,37 +1,42 @@
-"""Prepared queries: rewrite once, evaluate many bindings.
+"""Prepared queries: prepare a query form once, evaluate many bindings.
 
 Interactive and benchmark workloads in the paper's setting re-run the
 same query *form* — ``sg(c, Y)?`` — for a stream of different constants
-``c``.  Every ``run_strategy`` call repeats work that does not depend on
-``c`` at all: adornment, the method-specific rewriting, rule
-compilation, support-rule materialization.  :class:`PreparedQuery` does
-that work once and keeps three layers of reusable state:
+``c``.  Every strategy in :mod:`repro.exec.strategies` is defined as a
+form-level *prepare* step (rewriting, adornment, canonicalization, rule
+compilation) and a per-binding *run* step.  A cold ``run_strategy`` call
+does both for every binding; :class:`PreparedQuery` prepares once and
+adds only the binding layer on top:
 
-1. **Rewriting reuse.**  The bound goal positions are replaced by
+1. **Sentinel substitution.**  The bound goal positions are replaced by
    :class:`FormParameter` sentinels — placeholder constants compared by
    identity, so they can never collide with real program constants —
-   and the strategy's rewriting runs once over the sentinel query.  A
-   per-binding run substitutes real constants into the (few) rules that
-   mention a sentinel; all other rules are reused as the *same objects*,
-   which keeps the compiled-rule cache (keyed by ``id``) hot.  For the
-   dedicated counting evaluators the canonical clique is
-   constant-independent by construction, so only the source values
-   change between runs.
-2. **Answer caching.**  With an :class:`~repro.exec.cache.AnswerCache`
+   and the strategy prepares over the sentinel query.  A run
+   substitutes real constants into the (few) rules, goals and source
+   values that mention a sentinel; all other rules are reused as the
+   *same objects*, which keeps the compiled-rule cache (keyed by
+   ``id``) hot.
+2. **Data memos.**  Support-rule materializations, the divergence
+   check's support relations and the binding-free ``naive`` fixpoint
+   are kept across runs while the database's epochs stay put.
+3. **Answer caching.**  With an :class:`~repro.exec.cache.AnswerCache`
    attached, results are memoized under ``(query form, constants,
    epoch snapshot)``.  The epoch snapshot covers every base relation
    the rewritten program reads (see
    :meth:`~repro.engine.database.Database.epochs`), so updating the
    database silently invalidates exactly the dependent entries.
-3. **Counting-set memoization.**  With a
+4. **Counting-set memoization.**  With a
    :class:`~repro.exec.cache.CountingTableStore` attached, the
    pointer/cyclic evaluators skip phase 1 (the left-graph DFS and
    ahead-arc construction) when the source node was already explored
    under the current epochs.
+5. **Parallel attempts.**  ``run(workers=N)`` ships phase 1 of the
+   pointer/cyclic evaluators to worker processes, or first tries the
+   sharded ``parallel`` strategy for every other method.
 
-Answers are always byte-identical to a cold ``run_strategy`` call on
-the equivalent bound query (:meth:`PreparedQuery.bind` builds that
-query for comparison).
+A first run's answers, counters and extras are identical to a cold
+``run_strategy`` call on the equivalent bound query
+(:meth:`PreparedQuery.bind` builds that query for comparison).
 """
 
 import time
@@ -40,56 +45,16 @@ import weakref
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Program, Query, Rule
 from ..datalog.terms import Compound, Constant
-from ..engine.compile import compiled_rule
-from ..engine.fixpoint import goal_filter, project_free
 from ..engine.instrumentation import EvalStats
-from ..engine.seminaive import SemiNaiveEngine
-from ..errors import (
-    CountingDivergenceError,
-    EvaluationError,
-    NotApplicableError,
-)
-from ..rewriting.adornment import adorn_query
-from ..rewriting.canonical import canonicalize_clique
-from ..rewriting.counting import classical_counting_rewrite
-from ..rewriting.encoded import encoded_counting_rewrite
-from ..rewriting.extended import extended_counting_rewrite
-from ..rewriting.magic import magic_rewrite
+from ..errors import EvaluationError, NotApplicableError
 from ..rewriting.pipeline import optimize
-from ..rewriting.reduction import reduce_rewriting
-from ..rewriting.supplementary import supplementary_magic_rewrite
-from ..rewriting.support import goal_clique_of
-from .counting_engine import CountingEngine
 from .strategies import (
+    COLD,
+    STRATEGIES,
+    Binding,
     ExecutionResult,
-    _check_left_graph_acyclic,
-    _divergence_bound,
-    _support_resolver,
-    check_pushing_cycles,
     run_strategy,
 )
-
-
-def _reduced_rewrite(query):
-    return reduce_rewriting(extended_counting_rewrite(query))
-
-
-#: Strategies whose rewritten program runs on the generic semi-naive
-#: engine; the rewriting is constant-independent except for seed facts.
-ENGINE_REWRITES = {
-    "magic": magic_rewrite,
-    "sup_magic": supplementary_magic_rewrite,
-    "classical_counting": classical_counting_rewrite,
-    "encoded_counting": encoded_counting_rewrite,
-    "extended_counting": extended_counting_rewrite,
-    "reduced_counting": _reduced_rewrite,
-}
-
-#: Strategies served by the dedicated counting evaluators.
-COUNTING_METHODS = ("pointer_counting", "cyclic_counting", "magic_counting")
-
-#: Engine-family strategies that need the divergence iteration guard.
-GUARDED_METHODS = ("classical_counting", "encoded_counting")
 
 
 class FormParameter:
@@ -198,6 +163,97 @@ class _ScopedTableStore:
         self.store.put((self.form, node), self.epochs, table)
 
 
+class _Binding(Binding):
+    """One run of a prepared form: sentinels become the run's
+    constants, and data memos live on the :class:`PreparedQuery`."""
+
+    __slots__ = ("prepared", "db", "mapping", "workers", "extras",
+                 "_epochs")
+
+    def __init__(self, prepared, db, constants, workers):
+        self.prepared = prepared
+        self.db = db
+        self.mapping = dict(zip(prepared._params, constants))
+        self.workers = workers
+        #: Measurements of the binding layer itself, merged into the
+        #: run's extras.
+        self.extras = {}
+        self._epochs = None
+
+    def epochs(self):
+        if self._epochs is None:
+            self._epochs = self.db.epochs(self.prepared.read_keys)
+        return self._epochs
+
+    def atom(self, atom):
+        if _literal_mentions(atom):
+            return _substitute_atom(atom, self.mapping)
+        return atom
+
+    def program(self, program):
+        # One form per prepared query, hence one engine program.
+        flags = self.prepared._parametric
+        if flags is None:
+            flags = self.prepared._parametric = tuple(
+                _rule_mentions(rule) for rule in program
+            )
+        if not any(flags):
+            return program
+        return Program(tuple(
+            _substitute_rule(rule, self.mapping) if parametric else rule
+            for rule, parametric in zip(program, flags)
+        ))
+
+    def values(self, values):
+        return tuple(
+            self.mapping[value] if isinstance(value, FormParameter)
+            else value
+            for value in values
+        )
+
+    def memo(self, name, build):
+        epochs = self.epochs()
+        entry = self.prepared._memos.get(name)
+        if entry is not None and entry[0]() is self.db \
+                and entry[1] == epochs:
+            return entry[2]
+        value = build()
+        self.prepared._memos[name] = (weakref.ref(self.db), epochs, value)
+        return value
+
+    def attach(self, engine, shippable):
+        prepared = self.prepared
+        if prepared.counting_store is not None:
+            engine.table_store = _ScopedTableStore(
+                prepared.counting_store, prepared._form_key, self.epochs()
+            )
+        if self.workers is not None and self.workers >= 2 and shippable:
+            engine.successor_resolver = self._parallel_successors(engine)
+
+    def _parallel_successors(self, engine):
+        """A phase-1 successor resolver that ships the left-graph
+        expansion to the workers when the DFS first asks for it, so a
+        table served from the store costs no extra store lookup."""
+        resolver = None
+
+        def successors(node):
+            nonlocal resolver
+            if resolver is None:
+                from ..parallel.counting import parallel_successor_map
+
+                try:
+                    resolver = parallel_successor_map(
+                        engine, self.db, self.workers
+                    )
+                    self.extras["parallel_phase1_workers"] = self.workers
+                except EvaluationError as exc:
+                    resolver = engine._successors
+                    self.extras["parallel_fallback"] = type(exc).__name__
+            return resolver(node)
+
+        return successors
+
+
 class PreparedQuery:
     """A query form prepared for repeated evaluation.
 
@@ -221,6 +277,7 @@ class PreparedQuery:
                  counting_store=None):
         plan = optimize(query, db, method=method)
         self.method = plan.method
+        self.strategy = STRATEGIES[plan.method]
         #: The plan's query — may differ from the input when the
         #: optimizer linearized square rules; it is the template every
         #: binding re-instantiates.
@@ -247,96 +304,26 @@ class PreparedQuery:
         sentinel_args = list(goal.args)
         for param, pos in zip(self._params, self.bound_positions):
             sentinel_args[pos] = Constant(param)
-        self._sentinel_query = Query(
-            goal.with_args(tuple(sentinel_args)), program
-        )
         #: Structural identity of the query form; shared caches use it
         #: so two prepared instances of the same form exchange entries.
         self._form_key = (
             goal.key, self.template.adornment(), self.method, program.rules
         )
         self._runs = 0
-        self._family = "fallback"
-        self._compiled = {}
-        self._prepare()
-
-    # -- one-time preparation ------------------------------------------
-
-    def _prepare(self):
-        method = self.method
-        if method == "naive":
-            self._family = "naive"
-            self._naive_entry = None
-            for rule in self.template.program.rules:
-                if not rule.is_fact():
-                    self._compiled[id(rule)] = compiled_rule(rule)
-            return
-        if method in ENGINE_REWRITES:
-            try:
-                rewriting = ENGINE_REWRITES[method](self._sentinel_query)
-            except NotApplicableError:
-                # Leave family='fallback': the per-run path reports the
-                # same error a cold run would.
-                return
-            self._family = "engine"
-            self.rewriting = rewriting
-            self._exec_goal = rewriting.query.goal
-            self._goal_parametric = any(
-                _term_mentions(arg) for arg in self._exec_goal.args
-            )
-            #: (rule, mentions-sentinel) in program order; fixed rules
-            #: are reused per run as the same objects so the shared
-            #: compiled cache (keyed by id) stays hot.
-            self._rule_slots = tuple(
-                (rule, _rule_mentions(rule))
-                for rule in rewriting.query.program.rules
-            )
-            for rule, parametric in self._rule_slots:
-                if not parametric and not rule.is_fact():
-                    self._compiled[id(rule)] = compiled_rule(rule)
-            self._check_canonical = None
-            self._check_entry = None
-            self._path_free = True
-            if method == "extended_counting":
-                self._path_free = False
-                self._prepare_check(rewriting.adorned)
-            elif method == "reduced_counting":
-                self._path_free = (
-                    rewriting.path_deleted_counting
-                    and rewriting.path_deleted_answer
-                )
-                if not self._path_free:
-                    self._prepare_check(rewriting.source.adorned)
-            return
-        if method in COUNTING_METHODS:
-            try:
-                adorned = adorn_query(self._sentinel_query)
-                clique, support_rules = goal_clique_of(adorned)
-                canonical = canonicalize_clique(clique, adorned)
-            except NotApplicableError:
-                return
-            self._family = "counting"
-            self._adorned = adorned
-            self._goal_key = adorned.goal.key
-            self._support_rules = support_rules
-            self._canonical = canonical
-            #: Shared compiled-BoundQuery cache for the dedicated
-            #: evaluators (keyed on canonical rule identity, so it is
-            #: valid across bindings and databases alike).
-            self._bound_query_cache = {}
-            self._support_entry = None
-            return
-        # qsq and any unknown method: prepare nothing, delegate per run.
-
-    def _prepare_check(self, adorned):
+        #: Data memos of :meth:`_Binding.memo`: name -> (database
+        #: weakref, epoch snapshot, value).
+        self._memos = {}
+        #: Per-rule mentions-a-sentinel flags of the form's engine
+        #: program, computed on first use.
+        self._parametric = None
         try:
-            clique, support_rules = goal_clique_of(adorned)
-            self._check_canonical = canonicalize_clique(clique, adorned)
+            self._form = self.strategy.prepare(
+                Query(goal.with_args(tuple(sentinel_args)), program)
+            )
         except NotApplicableError:
-            self._check_canonical = None
-            return
-        self._check_support = support_rules
-        self._check_goal_key = adorned.goal.key
+            # Each run prepares its bound query instead, and so raises
+            # the error a cold run would.
+            self._form = None
 
     # -- binding helpers -----------------------------------------------
 
@@ -353,13 +340,6 @@ class PreparedQuery:
             constants = db.intern_pool.intern_row(constants)
         return constants
 
-    def _bound_goal(self, constants):
-        goal = self.template.goal
-        args = list(goal.args)
-        for pos, value in zip(self.bound_positions, constants):
-            args[pos] = Constant(value)
-        return goal.with_args(tuple(args))
-
     def bind(self, constants=None):
         """The plain bound :class:`Query` for ``constants``.
 
@@ -367,10 +347,12 @@ class PreparedQuery:
         prepared.bind(c), db)`` call evaluates — benchmarks use it as
         the uncached baseline.
         """
-        return Query(
-            self._bound_goal(self._normalize(constants)),
-            self.template.program,
-        )
+        goal = self.template.goal
+        args = list(goal.args)
+        for pos, value in zip(self.bound_positions,
+                              self._normalize(constants)):
+            args[pos] = Constant(value)
+        return Query(goal.with_args(tuple(args)), self.template.program)
 
     def size_bound(self, db):
         """Static work estimate for this form against ``db``.
@@ -398,11 +380,11 @@ class PreparedQuery:
 
         ``stats.cache_hits`` / ``stats.cache_misses`` record the answer
         cache's verdict; ``stats.prepare_reuse`` is 1 when this run
-        reused the prepared rewriting instead of building it.
+        reused the prepared form instead of building it.
 
         ``workers`` (>= 2) asks for data-parallel evaluation: the
-        pointer/cyclic counting family parallelizes phase 1 of the
-        counting-set build, every other family first attempts the
+        pointer/cyclic counting evaluators parallelize phase 1 of the
+        counting-set build, every other method first attempts the
         sharded-fixpoint ``parallel`` strategy.  Either path degrades
         to the prepared serial evaluation on any worker or planning
         failure — ``extras["parallel_fallback"]`` then names the error
@@ -463,14 +445,11 @@ class PreparedQuery:
 
     def _execute(self, constants, db, stats, budget, started,
                  workers=None, recovery=None):
-        family = self._family
         parallel_fallback = None
-        phase1_parallel = (
-            family == "counting" and self.method != "magic_counting"
-        )
-        if workers is not None and workers >= 2 and not phase1_parallel:
-            # Sharded-fixpoint attempt; serial families below are the
-            # fallback.  Budget errors propagate — they describe the
+        if workers is not None and workers >= 2 \
+                and not self.strategy.ships_phase1:
+            # Sharded-fixpoint attempt; the prepared serial run below is
+            # the fallback.  Budget errors propagate — they describe the
             # caller's limits, and a serial retry cannot beat them.
             try:
                 result = run_strategy(
@@ -485,205 +464,25 @@ class PreparedQuery:
                 result.extras["prepared"] = False
                 result.extras["cache_hit"] = False
                 return result
-        if family == "fallback":
-            result = run_strategy(
-                self.method, self.bind(constants), db, budget=budget
+        if self._form is None:
+            answers, extras = self.strategy.run(
+                self.strategy.prepare(self.bind(constants)), COLD, db,
+                stats, budget,
             )
-            result.stats.cache_misses += stats.cache_misses
-            result.stats.prepare_reuse += stats.prepare_reuse
-            result.extras["prepared"] = False
-            result.extras["cache_hit"] = False
-            if parallel_fallback is not None:
-                result.extras["parallel_fallback"] = parallel_fallback
-            return result
-        if family == "naive":
-            answers, extras = self._run_naive(constants, db, stats, budget)
-        elif family == "engine":
-            answers, extras = self._run_engine(constants, db, stats, budget)
         else:
-            answers, extras = self._run_counting(
-                constants, db, stats, budget, workers=workers
+            binding = _Binding(self, db, constants, workers)
+            answers, extras = self.strategy.run(
+                self._form, binding, db, stats, budget
             )
+            extras.update(binding.extras)
         if parallel_fallback is not None:
             extras["parallel_fallback"] = parallel_fallback
-        extras["prepared"] = True
+        extras["prepared"] = self._form is not None
         extras["cache_hit"] = False
         return ExecutionResult(
             self.method, answers, stats, extras,
             elapsed=time.perf_counter() - started,
         )
-
-    def _run_naive(self, constants, db, stats, budget):
-        goal = self._bound_goal(constants)
-        epochs = db.epochs(self.read_keys)
-        entry = self._naive_entry
-        if (
-            entry is not None
-            and entry[0]() is db
-            and entry[1] == epochs
-        ):
-            relation = entry[2]
-        else:
-            # The original program never mentions the query constants,
-            # so one evaluation serves every binding until the database
-            # moves.
-            engine = SemiNaiveEngine(
-                self.template.program, db, stats=stats, budget=budget,
-                compiled_cache=dict(self._compiled),
-            )
-            engine.run()
-            relation = engine.relation(goal.key)
-            self._naive_entry = (weakref.ref(db), epochs, relation)
-        tuples = set(goal_filter(goal, relation))
-        answers = project_free(goal, tuples)
-        extras = {"derived_facts": len(relation)}
-        return answers, extras
-
-    def _run_engine(self, constants, db, stats, budget):
-        method = self.method
-        if not self._path_free:
-            self._run_check(constants, db, stats, budget)
-        mapping = dict(zip(self._params, constants))
-        rules = tuple(
-            _substitute_rule(rule, mapping) if parametric else rule
-            for rule, parametric in self._rule_slots
-        )
-        goal = (
-            _substitute_atom(self._exec_goal, mapping)
-            if self._goal_parametric
-            else self._exec_goal
-        )
-        max_iterations = None
-        if method in GUARDED_METHODS:
-            max_iterations = _divergence_bound(db)
-        # Copy the shared compiled cache so entries for this run's
-        # substituted seed rules do not pile up in it.
-        engine = SemiNaiveEngine(
-            Program(rules), db, stats=stats,
-            max_iterations=max_iterations, budget=budget,
-            compiled_cache=dict(self._compiled),
-        )
-        try:
-            derived = engine.run()
-        except EvaluationError as exc:
-            if method in GUARDED_METHODS:
-                raise CountingDivergenceError(
-                    "%s diverged (cyclic left-part relation?): %s"
-                    % (method, exc)
-                ) from exc
-            raise
-        relation = engine.relation(goal.key)
-        tuples = set(goal_filter(goal, relation))
-        answers = project_free(goal, tuples)
-        extras = {
-            "derived_facts": sum(len(rel) for rel in derived.values()),
-        }
-        return answers, extras
-
-    def _run_check(self, constants, db, stats, budget):
-        """Per-binding divergence guard for the list-based methods."""
-        label = self.method.replace("_", " ")
-        if self._check_canonical is None:
-            _check_left_graph_acyclic(
-                adorn_query(self.bind(constants)), db, stats, label
-            )
-            return
-        epochs = db.epochs(self.read_keys)
-        entry = self._check_entry
-        if (
-            entry is not None
-            and entry[0]() is db
-            and entry[1] == epochs
-        ):
-            resolver = entry[2]
-        else:
-            resolver = _support_resolver(
-                None, self._check_support, db, stats, budget=budget
-            )
-            self._check_entry = (weakref.ref(db), epochs, resolver)
-        check_pushing_cycles(
-            self._check_canonical, self._check_goal_key, constants,
-            resolver, label,
-        )
-
-    def _run_counting(self, constants, db, stats, budget, workers=None):
-        epochs = db.epochs(self.read_keys)
-        entry = self._support_entry
-        if (
-            entry is not None
-            and entry[0]() is db
-            and entry[1] == epochs
-        ):
-            resolver = entry[2]
-        else:
-            resolver = _support_resolver(
-                self._adorned, self._support_rules, db, stats,
-                budget=budget,
-            )
-            self._support_entry = (weakref.ref(db), epochs, resolver)
-        method = self.method
-        if method == "magic_counting":
-            from .magic_counting import MagicCountingEngine
-
-            engine = MagicCountingEngine(
-                self._canonical, self._goal_key, constants, resolver,
-                stats=stats, budget=budget,
-            )
-            answers = engine.run()
-            extras = {
-                "recurring_nodes": len(engine.recurring),
-                "counting_rows": (
-                    0 if engine.table is None else len(engine.table)
-                ),
-                "answer_states": engine.state_count,
-            }
-            return answers, extras
-        store = None
-        if self.counting_store is not None:
-            store = _ScopedTableStore(
-                self.counting_store, self._form_key, epochs
-            )
-        engine = CountingEngine(
-            self._canonical, self._goal_key, constants, resolver,
-            stats=stats,
-            require_acyclic=(method == "pointer_counting"),
-            budget=budget,
-            query_cache=self._bound_query_cache,
-            table_store=store,
-        )
-        parallel_fallback = None
-        parallel_used = False
-        if (
-            workers is not None
-            and workers >= 2
-            and not self._support_rules  # support resolvers don't ship
-            and (store is None
-                 or store.get((self._goal_key, constants)) is None)
-        ):
-            from ..parallel.counting import parallel_successor_map
-
-            try:
-                engine.successor_resolver = parallel_successor_map(
-                    engine, db, workers
-                )
-                parallel_used = True
-            except EvaluationError as exc:
-                parallel_fallback = type(exc).__name__
-        answers = engine.run()
-        extras = {
-            "counting_rows": len(engine.table),
-            "counting_triples": engine.table.triple_count,
-            "answer_states": engine.state_count,
-            "max_frontier": engine.max_frontier,
-            "counting_table_reused": engine.table_reused,
-        }
-        if parallel_used:
-            extras["parallel_phase1_workers"] = workers
-        if parallel_fallback is not None:
-            extras["parallel_fallback"] = parallel_fallback
-        if method == "cyclic_counting":
-            extras["back_arcs"] = engine.table.back_arc_count
-        return answers, extras
 
     def __repr__(self):
         return "PreparedQuery(%s, %s, %d run(s))" % (

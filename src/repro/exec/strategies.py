@@ -1,11 +1,29 @@
-"""Uniform executors for every evaluation strategy.
+"""Every evaluation strategy, defined once as a prepare step and a run step.
 
-Each ``run_*`` function takes the *original* query and a database and
-returns an :class:`ExecutionResult` whose ``answers`` are projections
-onto the original goal's free argument positions — so results of
-different methods compare directly.  ``extras`` carries method-specific
-measurements (magic-set size, counting-set size, pointer-table rows and
-triples, answer-state counts) used by the benchmark harness.
+In the paper each method splits in two: a rewriting of the adorned
+program that does not depend on the query constant, followed by an
+evaluation that does.  Each strategy here is defined the same way:
+
+* ``prepare(query)`` does the form-level work: rewrite, adorn and
+  canonicalize, precompile rules, and build the clique the divergence
+  check walks.  It returns the *form*, an opaque namespace.
+* ``run(form, binding, db, stats, budget)`` does the per-binding work:
+  substitute seeds, materialize support rules, run the engine, wrap
+  divergence as :class:`CountingDivergenceError`, and build the
+  ``extras``.  It returns ``(answers, extras)``.
+
+The :class:`Binding` passed to ``run`` is how a form meets its
+constants.  :func:`run_strategy` prepares over the bound query itself
+and runs once under the identity binding.
+:class:`~repro.exec.prepared.PreparedQuery` prepares once over a query
+whose bound positions hold sentinels, and runs each binding under a
+binding that substitutes the constants and reuses work across runs.
+
+``answers`` are projections onto the original goal's free argument
+positions, so results of different methods compare directly.
+``extras`` carries method-specific measurements (magic-set size,
+counting-set size, pointer-table rows and triples, answer-state counts)
+used by the benchmark harness.
 
 Strategies
 ----------
@@ -39,8 +57,10 @@ Strategies
 """
 
 import time
+from types import SimpleNamespace
 
-from ..datalog.rules import Query
+from ..datalog.rules import Program, Query
+from ..engine.compile import compiled_rule
 from ..engine.database import Database
 from ..engine.fixpoint import goal_filter, project_free
 from ..engine.instrumentation import EvalStats
@@ -50,26 +70,27 @@ from ..graph.dfs import classify_arcs
 from ..rewriting.adornment import adorn_query
 from ..rewriting.canonical import canonicalize_clique, query_constants
 from ..rewriting.counting import classical_counting_rewrite
+from ..rewriting.encoded import encoded_counting_rewrite
 from ..rewriting.extended import extended_counting_rewrite
 from ..rewriting.magic import magic_rewrite, magic_set_size
 from ..rewriting.reduction import reduce_rewriting
+from ..rewriting.supplementary import supplementary_magic_rewrite
 from ..rewriting.support import goal_clique_of
 from .counting_engine import CountingEngine
+from .magic_counting import MagicCountingEngine
+from .qsq import qsq_evaluate
 
 
 class ExecutionResult:
     """Answers plus measurements for one strategy run."""
 
-    __slots__ = ("method", "answers", "stats", "extras", "rewriting",
-                 "elapsed")
+    __slots__ = ("method", "answers", "stats", "extras", "elapsed")
 
-    def __init__(self, method, answers, stats, extras=None, rewriting=None,
-                 elapsed=0.0):
+    def __init__(self, method, answers, stats, extras=None, elapsed=0.0):
         self.method = method
         self.answers = frozenset(answers)
         self.stats = stats
         self.extras = dict(extras or {})
-        self.rewriting = rewriting
         #: Wall-clock seconds of the run (rewriting + evaluation).
         self.elapsed = elapsed
 
@@ -89,70 +110,42 @@ class ExecutionResult:
         )
 
 
-def _run_engine(query, db, stats, max_iterations=None, budget=None):
-    engine = SemiNaiveEngine(
-        query.program, db, stats=stats, max_iterations=max_iterations,
-        budget=budget,
-    )
-    derived = engine.run()
-    goal = query.goal
-    relation = engine.relation(goal.key)
-    tuples = set(goal_filter(goal, relation))
-    return project_free(goal, tuples), derived
+class Binding:
+    """How a prepared form meets its constants during one run.
+
+    This base class is the identity binding of a cold run: the form was
+    prepared over the bound query itself, so there is nothing to
+    substitute and no earlier run to reuse work from.
+    :class:`~repro.exec.prepared.PreparedQuery` overrides every method.
+    """
+
+    __slots__ = ()
+
+    def atom(self, atom):
+        """``atom`` with the run's constants in place."""
+        return atom
+
+    def program(self, program):
+        """``program`` with the run's constants in its seed rules."""
+        return program
+
+    def values(self, values):
+        """A tuple of constants with the run's constants in place."""
+        return values
+
+    def memo(self, name, build):
+        """``build()``, or its result from an earlier run over the same
+        data."""
+        return build()
+
+    def attach(self, engine, shippable):
+        """Hook per-run helpers (a counting-table store, a parallel
+        phase 1) onto a :class:`CountingEngine` before it runs.
+        ``shippable`` is false when support relations cannot travel to
+        worker processes."""
 
 
-def _relation_sizes(derived, keys):
-    return sum(len(derived[key]) for key in keys if key in derived)
-
-
-def run_naive(query, db, budget=None):
-    """Evaluate the original program without binding propagation."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    answers, derived = _run_engine(query, db, stats, budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("naive", answers, stats, extras,
-                           elapsed=elapsed)
-
-
-def run_magic(query, db, budget=None):
-    """Magic-set rewriting followed by semi-naive evaluation."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = magic_rewrite(query)
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "magic_set_size": magic_set_size(derived, rewriting),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("magic", answers, stats, extras, rewriting,
-                           elapsed)
-
-
-def run_sup_magic(query, db, budget=None):
-    """Supplementary magic sets: prefixes materialized once."""
-    from ..rewriting.supplementary import supplementary_magic_rewrite
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = supplementary_magic_rewrite(query)
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "sup_facts": sum(
-            len(rel) for key, rel in derived.items()
-            if key[0].startswith("sup_")
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("sup_magic", answers, stats, extras,
-                           rewriting, elapsed)
+COLD = Binding()
 
 
 def _divergence_bound(db):
@@ -167,110 +160,46 @@ def _divergence_bound(db):
     return len(db.constants()) + 3
 
 
-def run_classical_counting(query, db, budget=None):
-    """Classical counting; divergence-guarded for cyclic data."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = classical_counting_rewrite(query)
-    try:
-        answers, derived = _run_engine(
-            rewriting.query, db, stats,
-            max_iterations=_divergence_bound(db),
-            budget=budget,
-        )
-    except EvaluationError as exc:
-        raise CountingDivergenceError(
-            "classical counting diverged (cyclic left-part relation?): %s"
-            % exc
-        ) from exc
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, [rewriting.counting_pred]
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("classical_counting", answers, stats, extras,
-                           rewriting, elapsed)
+def support_resolver(support_rules, db, stats, budget=None):
+    """Materialize support (lower-clique) rules over the database.
 
-
-def run_encoded_counting(query, db, budget=None):
-    """The [15] integer-encoded counting method (historical baseline).
-
-    The rule log rides a single integer; divergence-guarded like the
-    classical method.  ``extras`` reports the largest encoded value's
-    bit length — the exponential growth §3.4 criticizes.
+    Returns a lookup ``key -> relation`` that consults the materialized
+    support relations first and the database second.
     """
-    from ..rewriting.encoded import encoded_counting_rewrite
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = encoded_counting_rewrite(query)
-    try:
-        answers, derived = _run_engine(
-            rewriting.query, db, stats,
-            max_iterations=_divergence_bound(db),
-            budget=budget,
-        )
-    except EvaluationError as exc:
-        raise CountingDivergenceError(
-            "encoded counting diverged (cyclic left-part relation?): %s"
-            % exc
-        ) from exc
-    elapsed = time.perf_counter() - started
-    counting = derived.get(rewriting.counting_pred)
-    max_bits = 0
-    size = 0
-    if counting is not None:
-        size = len(counting)
-        for row in counting:
-            max_bits = max(max_bits, int(row[-1]).bit_length())
-    extras = {
-        "counting_set_size": size,
-        "max_index_bits": max_bits,
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("encoded_counting", answers, stats, extras,
-                           rewriting, elapsed)
+    if not support_rules:
+        return db.get
+    engine = SemiNaiveEngine(Program(support_rules), db, stats=stats,
+                             budget=budget)
+    engine.run()
+    return engine.relation
 
 
-def _check_left_graph_acyclic(adorned, db, stats, method):
+def classify_left_graph(canonical, goal_key, source_values, get_relation):
+    """Arc classification of the left graph reachable from the source."""
+    source = (goal_key, tuple(source_values))
+    engine = CountingEngine(
+        canonical, goal_key, source[1], get_relation, stats=EvalStats()
+    )
+    return classify_arcs(source, engine._successors)
+
+
+def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
+                         method):
     """Raise if the path argument would grow without bound.
 
     The list-based programs diverge exactly when the reachable left
     graph contains a cycle through a *pushing* arc — one generated by a
     rule that is neither left- nor right-linear shaped (those rules are
-    the ones extending the path argument).
-    """
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats)
-    check_pushing_cycles(
-        canonical, adorned.goal.key, query_constants(adorned.goal),
-        get_relation, method,
-    )
-
-
-def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
-                         method):
-    """Core of the divergence check, parameterized on prepared artifacts.
-
-    The prepared-query layer (:mod:`repro.exec.prepared`) canonicalizes
-    the clique once per query form and re-runs only this data-dependent
-    classification per binding.
+    the ones extending the path argument).  The clique is canonicalized
+    by the strategy's prepare step; only this data-dependent
+    classification runs per binding.
     """
     from ..graph.properties import strongly_connected_components
     from ..rewriting.linearity import GENERAL, rule_shape
 
-    engine = CountingEngine(
-        canonical,
-        goal_key,
-        tuple(source_values),
-        get_relation,
-        stats=EvalStats(),
+    classification = classify_left_graph(
+        canonical, goal_key, source_values, get_relation
     )
-    source = (goal_key, tuple(source_values))
-    classification = classify_arcs(source, engine._successors)
     if classification.is_acyclic():
         return
     pushing = {
@@ -294,166 +223,231 @@ def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
             )
 
 
-def _support_resolver(adorned, support_rules, db, stats, budget=None):
-    """Materialize support (lower-clique) rules over the database.
+def _prepare_clique(adorned):
+    """The goal clique of ``adorned`` in canonical form, with the
+    support rules below it and the goal's bound values."""
+    clique, support_rules = goal_clique_of(adorned)
+    return SimpleNamespace(
+        canonical=canonicalize_clique(clique, adorned),
+        goal_key=adorned.goal.key,
+        source=query_constants(adorned.goal),
+        support_rules=support_rules,
+    )
 
-    Returns a lookup ``key -> relation`` that consults the materialized
-    support relations first and the database second.
+
+def _support(clique, binding, db, stats, budget, name="support"):
+    return binding.memo(
+        name,
+        lambda: support_resolver(clique.support_rules, db, stats, budget),
+    )
+
+
+def _relation_sizes(derived, keys):
+    return sum(len(derived[key]) for key in keys if key in derived)
+
+
+class Strategy:
+    """One evaluation method; see the module docstring."""
+
+    #: True when the run step builds a :class:`CountingEngine` whose
+    #: phase 1 a binding may ship to worker processes.
+    ships_phase1 = False
+
+    def __init__(self, name):
+        self.name = name
+
+    def prepare(self, query):
+        return query
+
+    def run(self, form, binding, db, stats, budget=None):
+        raise NotImplementedError
+
+
+class _Fixpoint(Strategy):
+    """A rewriting of the query evaluated by the semi-naive engine.
+
+    ``rewrite`` is ``None`` for the original program.  ``extras`` maps
+    ``(derived, rewriting)`` to the method's measurements.  ``guarded``
+    caps the fixpoint at :func:`_divergence_bound` rounds; ``checked``
+    maps the rewriting to the adorned query whose left graph must have
+    no cycle through a pushing rule (or ``None`` when the path argument
+    is gone).  ``shared`` marks a program that never mentions the query
+    constants, so one evaluation serves every binding.
     """
-    if not support_rules:
-        return db.get
-    from ..datalog.rules import Program
 
-    engine = SemiNaiveEngine(Program(support_rules), db, stats=stats,
-                             budget=budget)
-    engine.run()
-    return engine.relation
+    def __init__(self, name, rewrite=None, extras=None, guarded=False,
+                 checked=None, shared=False):
+        super().__init__(name)
+        self.rewrite = rewrite
+        self.extras = extras
+        self.guarded = guarded
+        self.checked = checked
+        self.shared = shared
 
-
-def run_extended_counting(query, db, check_acyclic=True, budget=None):
-    """Algorithm 1 (list path arguments) on the generic engine."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = extended_counting_rewrite(query)
-    if check_acyclic:
-        _check_left_graph_acyclic(
-            rewriting.adorned, db, stats, "extended counting"
+    def prepare(self, query):
+        rewriting = None if self.rewrite is None else self.rewrite(query)
+        target = query if rewriting is None else rewriting.query
+        adorned = None if self.checked is None else self.checked(rewriting)
+        return SimpleNamespace(
+            rewritten=rewriting,
+            goal=target.goal,
+            program=target.program,
+            compiled={
+                id(rule): compiled_rule(rule)
+                for rule in target.program.rules
+                if not rule.is_fact()
+            },
+            check=None if adorned is None else _prepare_clique(adorned),
         )
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, list(rewriting.counting_preds.values())
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("extended_counting", answers, stats, extras,
-                           rewriting, elapsed)
 
-
-def run_reduced_counting(query, db, check_acyclic=True, budget=None):
-    """Algorithm 1 followed by the Algorithm 3 reduction."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = reduce_rewriting(extended_counting_rewrite(query))
-    path_free = (
-        rewriting.path_deleted_counting and rewriting.path_deleted_answer
-    )
-    if check_acyclic and not path_free:
-        # A surviving path argument still grows along cycles.
-        _check_left_graph_acyclic(
-            rewriting.source.adorned, db, stats, "reduced counting"
+    def run(self, form, binding, db, stats, budget=None):
+        check = form.check
+        if check is not None:
+            check_pushing_cycles(
+                check.canonical, check.goal_key,
+                binding.values(check.source),
+                _support(check, binding, db, stats, budget, "check"),
+                self.name.replace("_", " "),
+            )
+        if self.shared:
+            relation, derived = binding.memo(
+                "fixpoint",
+                lambda: self._fixpoint(form, binding, db, stats, budget),
+            )
+        else:
+            relation, derived = self._fixpoint(form, binding, db, stats,
+                                               budget)
+        goal = binding.atom(form.goal)
+        answers = project_free(goal, set(goal_filter(goal, relation)))
+        extras = {} if self.extras is None else self.extras(
+            derived, form.rewritten
         )
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, list(rewriting.source.counting_preds.values())
-        ) + _relation_sizes(
-            derived,
-            [
-                (name, arity - 1)
-                for name, arity in rewriting.source.counting_preds.values()
-            ],
+        extras["derived_facts"] = sum(len(rel) for rel in derived.values())
+        return answers, extras
+
+    def _fixpoint(self, form, binding, db, stats, budget):
+        # The shared compiled cache is copied so entries for this run's
+        # substituted seed rules do not pile up in it.
+        engine = SemiNaiveEngine(
+            binding.program(form.program), db, stats=stats,
+            max_iterations=_divergence_bound(db) if self.guarded else None,
+            budget=budget, compiled_cache=dict(form.compiled),
+        )
+        try:
+            derived = engine.run()
+        except EvaluationError as exc:
+            if not self.guarded:
+                raise
+            raise CountingDivergenceError(
+                "%s diverged (cyclic left-part relation?): %s"
+                % (self.name.replace("_", " "), exc)
+            ) from exc
+        return engine.relation(form.goal.key), derived
+
+
+def _encoded_extras(derived, rewriting):
+    counting = derived.get(rewriting.counting_pred)
+    rows = () if counting is None else counting
+    return {
+        "counting_set_size": len(rows),
+        "max_index_bits": max(
+            (int(row[-1]).bit_length() for row in rows), default=0
         ),
-        "path_deleted": path_free,
-        "derived_facts": sum(len(rel) for rel in derived.values()),
     }
-    return ExecutionResult("reduced_counting", answers, stats, extras,
-                           rewriting, elapsed)
 
 
-def _counting_engine_for(query, db, stats, require_acyclic,
-                         budget=None):
-    adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats,
-                                     budget=budget)
-    return CountingEngine(
-        canonical,
-        adorned.goal.key,
-        query_constants(adorned.goal),
-        get_relation,
-        stats=stats,
-        require_acyclic=require_acyclic,
-        budget=budget,
-    )
+def _path_free(rewriting):
+    return rewriting.path_deleted_counting and rewriting.path_deleted_answer
 
 
-def run_pointer_counting(query, db, budget=None):
-    """§3.4 pointer-based implementation (acyclic databases)."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    engine = _counting_engine_for(query, db, stats, require_acyclic=True,
-                                  budget=budget)
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_rows": len(engine.table),
-        "counting_triples": engine.table.triple_count,
-        "answer_states": engine.state_count,
-        "max_frontier": engine.max_frontier,
+def _reduced_extras(derived, rewriting):
+    preds = rewriting.source.counting_preds.values()
+    return {
+        "counting_set_size": _relation_sizes(derived, list(preds))
+        + _relation_sizes(
+            derived, [(name, arity - 1) for name, arity in preds]
+        ),
+        "path_deleted": _path_free(rewriting),
     }
-    return ExecutionResult("pointer_counting", answers, stats, extras,
-                           elapsed=elapsed)
 
 
-def run_cyclic_counting(query, db, budget=None):
-    """Algorithm 2: extended counting for arbitrary (cyclic) data."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    engine = _counting_engine_for(query, db, stats,
-                                  require_acyclic=False, budget=budget)
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_rows": len(engine.table),
-        "counting_triples": engine.table.triple_count,
-        "back_arcs": engine.table.back_arc_count,
-        "answer_states": engine.state_count,
-        "max_frontier": engine.max_frontier,
-    }
-    return ExecutionResult("cyclic_counting", answers, stats, extras,
-                           elapsed=elapsed)
+class _Counting(Strategy):
+    """A dedicated two-phase evaluator over the canonical goal clique:
+    the §3.4 pointer method (``acyclic``) or Algorithm 2."""
+
+    ships_phase1 = True
+
+    def __init__(self, name, acyclic=False):
+        super().__init__(name)
+        self.acyclic = acyclic
+
+    def prepare(self, query):
+        form = _prepare_clique(adorn_query(query))
+        #: Compiled bound queries of the clique's rules, shared by
+        #: every engine this form builds.
+        form.query_cache = {}
+        return form
+
+    def run(self, form, binding, db, stats, budget=None):
+        engine = CountingEngine(
+            form.canonical, form.goal_key, binding.values(form.source),
+            _support(form, binding, db, stats, budget),
+            stats=stats, require_acyclic=self.acyclic, budget=budget,
+            query_cache=form.query_cache,
+        )
+        binding.attach(engine, shippable=not form.support_rules)
+        answers = engine.run()
+        table = engine.table
+        extras = {
+            "counting_rows": len(table),
+            "counting_triples": table.triple_count,
+        }
+        if not self.acyclic:
+            extras["back_arcs"] = table.back_arc_count
+        extras.update(
+            answer_states=engine.state_count,
+            max_frontier=engine.max_frontier,
+            counting_table_reused=engine.table_reused,
+        )
+        return answers, extras
 
 
-def run_magic_counting(query, db, budget=None):
-    """The magic-counting hybrid [16]: counting on the non-recurring
-    part of the left graph, magic sets on the recurring part."""
-    from ..rewriting.canonical import canonicalize_clique
-    from .magic_counting import MagicCountingEngine
+class _MagicCounting(_Counting):
+    """The [16] hybrid: counting on the non-recurring part of the left
+    graph, magic sets on the recurring part."""
 
-    stats = EvalStats()
-    started = time.perf_counter()
-    adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats,
-                                     budget=budget)
-    engine = MagicCountingEngine(
-        canonical,
-        adorned.goal.key,
-        query_constants(adorned.goal),
-        get_relation,
-        stats=stats,
-        budget=budget,
-    )
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "recurring_nodes": len(engine.recurring),
-        "counting_rows": 0 if engine.table is None else len(engine.table),
-        "answer_states": engine.state_count,
-    }
-    return ExecutionResult("magic_counting", answers, stats, extras,
-                           elapsed=elapsed)
+    ships_phase1 = False
+
+    def run(self, form, binding, db, stats, budget=None):
+        engine = MagicCountingEngine(
+            form.canonical, form.goal_key, binding.values(form.source),
+            _support(form, binding, db, stats, budget),
+            stats=stats, budget=budget,
+        )
+        answers = engine.run()
+        return answers, {
+            "recurring_nodes": len(engine.recurring),
+            "counting_rows": 0 if engine.table is None else len(engine.table),
+            "answer_states": engine.state_count,
+        }
 
 
-def run_parallel(query, db, budget=None, workers=2, inline=False,
-                 plan=None, recovery=None):
+class _QSQ(Strategy):
+    """Top-down query-subquery evaluation (the memoing family's direct
+    formulation; work profile tracks magic sets)."""
+
+    def run(self, form, binding, db, stats, budget=None):
+        answers, engine = qsq_evaluate(
+            Query(binding.atom(form.goal), form.program), db, stats=stats,
+            budget=budget,
+        )
+        return answers, {
+            "subqueries": engine.subquery_count(),
+            "memo_facts": sum(len(rel) for rel in engine.answers.values()),
+        }
+
+
+class _Parallel(Strategy):
     """Data-parallel sharded fixpoint over a multiprocess worker pool.
 
     Plans with :func:`~repro.parallel.plan.plan_partitions`, executes
@@ -473,67 +467,93 @@ def run_parallel(query, db, budget=None, workers=2, inline=False,
     :class:`~repro.errors.RecoveryExhaustedError`, which a fallback
     chain degrades past instead of hanging.
     """
-    from ..parallel import ParallelEngine
 
-    stats = EvalStats()
-    started = time.perf_counter()
-    engine = ParallelEngine(
-        query, db, workers=workers, stats=stats, budget=budget,
-        plan=plan, inline=inline, recovery=recovery,
-    )
-    engine.run()
-    elapsed = time.perf_counter() - started
-    return ExecutionResult("parallel", engine.answers, stats,
-                           engine.extras(), elapsed=elapsed)
+    def run(self, form, binding, db, stats, budget=None, workers=2,
+            inline=False, plan=None, recovery=None):
+        from ..parallel import ParallelEngine
 
-
-def run_qsq(query, db, budget=None):
-    """Top-down query-subquery evaluation (the memoing family's
-    direct formulation; work profile tracks magic sets)."""
-    from .qsq import qsq_evaluate
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    answers, engine = qsq_evaluate(query, db, stats=stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "subqueries": engine.subquery_count(),
-        "memo_facts": sum(len(rel) for rel in engine.answers.values()),
-    }
-    return ExecutionResult("qsq", answers, stats, extras,
-                           elapsed=elapsed)
+        engine = ParallelEngine(
+            Query(binding.atom(form.goal), form.program), db,
+            workers=workers, stats=stats, budget=budget, plan=plan,
+            inline=inline, recovery=recovery,
+        )
+        engine.run()
+        return engine.answers, engine.extras()
 
 
 #: Registry used by the benchmark harness and the optimizer pipeline.
 STRATEGIES = {
-    "naive": run_naive,
-    "magic": run_magic,
-    "classical_counting": run_classical_counting,
-    "extended_counting": run_extended_counting,
-    "reduced_counting": run_reduced_counting,
-    "pointer_counting": run_pointer_counting,
-    "cyclic_counting": run_cyclic_counting,
-    "magic_counting": run_magic_counting,
-    "sup_magic": run_sup_magic,
-    "encoded_counting": run_encoded_counting,
-    "qsq": run_qsq,
-    "parallel": run_parallel,
+    strategy.name: strategy
+    for strategy in (
+        _Fixpoint("naive", shared=True),
+        _Fixpoint(
+            "magic", magic_rewrite,
+            lambda derived, rewriting: {
+                "magic_set_size": magic_set_size(derived, rewriting),
+            },
+        ),
+        _Fixpoint(
+            "classical_counting", classical_counting_rewrite,
+            lambda derived, rewriting: {
+                "counting_set_size": _relation_sizes(
+                    derived, [rewriting.counting_pred]
+                ),
+            },
+            guarded=True,
+        ),
+        _Fixpoint(
+            "extended_counting", extended_counting_rewrite,
+            lambda derived, rewriting: {
+                "counting_set_size": _relation_sizes(
+                    derived, list(rewriting.counting_preds.values())
+                ),
+            },
+            checked=lambda rewriting: rewriting.adorned,
+        ),
+        _Fixpoint(
+            "reduced_counting",
+            lambda query: reduce_rewriting(extended_counting_rewrite(query)),
+            _reduced_extras,
+            # A surviving path argument still grows along cycles.
+            checked=lambda rewriting: (
+                None if _path_free(rewriting) else rewriting.source.adorned
+            ),
+        ),
+        _Counting("pointer_counting", acyclic=True),
+        _Counting("cyclic_counting"),
+        _MagicCounting("magic_counting"),
+        _Fixpoint(
+            "sup_magic", supplementary_magic_rewrite,
+            lambda derived, rewriting: {
+                "sup_facts": sum(
+                    len(rel) for key, rel in derived.items()
+                    if key[0].startswith("sup_")
+                ),
+            },
+        ),
+        _Fixpoint(
+            "encoded_counting", encoded_counting_rewrite, _encoded_extras,
+            guarded=True,
+        ),
+        _QSQ("qsq"),
+        _Parallel("parallel"),
+    )
 }
 
 
 def run_strategy(name, query, db, budget=None, **options):
-    """Run one registered strategy by name.
+    """Run one registered strategy by name, cold.
 
+    The strategy prepares over ``query`` itself and runs once.
     ``budget`` is an optional
     :class:`~repro.engine.guard.ResourceBudget` threaded through to the
     underlying engines; a budget firing surfaces as a typed
     :class:`~repro.errors.BudgetExceededError` carrying partial stats.
-    Extra keyword ``options`` are forwarded to the strategy runner —
-    the ``parallel`` strategy takes ``workers=N`` this way.
+    Extra keyword ``options`` are forwarded to the run step — the
+    ``parallel`` strategy takes ``workers=N`` this way.
     """
     try:
-        runner = STRATEGIES[name]
+        strategy = STRATEGIES[name]
     except KeyError:
         raise ValueError(
             "unknown strategy %r; available: %s"
@@ -543,6 +563,10 @@ def run_strategy(name, query, db, budget=None, **options):
         raise TypeError("expected a Query")
     if not isinstance(db, Database):
         raise TypeError("expected a Database")
-    if budget is None:
-        return runner(query, db, **options)
-    return runner(query, db, budget=budget, **options)
+    stats = EvalStats()
+    started = time.perf_counter()
+    answers, extras = strategy.run(
+        strategy.prepare(query), COLD, db, stats, budget, **options
+    )
+    return ExecutionResult(name, answers, stats, extras,
+                           elapsed=time.perf_counter() - started)

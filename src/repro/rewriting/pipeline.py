@@ -77,7 +77,7 @@ def choose_method(query, db=None):
         return ("naive", "goal is a base predicate; direct lookup", None)
     adorned = adorn_query(query)
     try:
-        clique, _support = goal_clique_of(adorned)
+        clique, support = goal_clique_of(adorned)
     except NotApplicableError:
         return (
             "magic",
@@ -102,15 +102,13 @@ def choose_method(query, db=None):
             adorned,
         )
     if db is not None:
-        from ..exec.strategies import _counting_engine_for
         from ..engine.instrumentation import EvalStats
-        from ..graph.dfs import classify_arcs
+        from ..exec.strategies import classify_left_graph, support_resolver
 
-        engine = _counting_engine_for(
-            adorned, db, EvalStats(), require_acyclic=False
+        classification = classify_left_graph(
+            canonical, adorned.goal.key, query_constants(adorned.goal),
+            support_resolver(support, db, EvalStats()),
         )
-        source = (adorned.goal.key, tuple(query_constants(adorned.goal)))
-        classification = classify_arcs(source, engine._successors)
         if classification.is_acyclic():
             return (
                 "pointer_counting",

@@ -4,7 +4,7 @@ behaviour around them."""
 import pytest
 
 from repro import Database, parse_query
-from repro.exec.strategies import run_magic, run_naive
+from repro.exec.strategies import run_strategy
 from repro.rewriting.adornment import adorn_query
 
 
@@ -35,8 +35,8 @@ class TestAdornedNegation:
             arc(a, b). arc(b, c). arc(c, d). arc(a, e).
             watchlist(c). watchlist(e).
         """)
-        naive = run_naive(query, db)
-        magic = run_magic(query, db)
+        naive = run_strategy("naive", query, db)
+        magic = run_strategy("magic", query, db)
         assert magic.answers == naive.answers == {("b",)}
 
     def test_negated_predicate_left_unrestricted(self):
@@ -60,15 +60,13 @@ class TestAdornedNegation:
         check_stratified(ProgramAnalysis(rewriting.query.program))
 
     def test_sup_magic_handles_negated_derived(self):
-        from repro.exec.strategies import run_sup_magic
-
         query = parse_query(QUERY_TEXT)
         db = Database.from_text("""
             arc(a, b). arc(b, c). arc(c, d). arc(a, e).
             watchlist(c). watchlist(e).
         """)
-        naive = run_naive(query, db)
-        assert run_sup_magic(query, db).answers == naive.answers
+        naive = run_strategy("naive", query, db)
+        assert run_strategy("sup_magic", query, db).answers == naive.answers
 
     def test_unrestricted_closure_covers_helpers(self):
         # risky calls a derived helper; leaving risky unrestricted must
@@ -84,9 +82,9 @@ class TestAdornedNegation:
         db = Database.from_text("""
             arc(a, b). arc(b, c). watchlist(c).
         """)
-        naive = run_naive(query, db)
+        naive = run_strategy("naive", query, db)
         assert naive.answers == {("b",)}
-        assert run_magic(query, db).answers == naive.answers
+        assert run_strategy("magic", query, db).answers == naive.answers
 
     def test_counting_pipeline_with_lower_stratum_negation(self):
         # The negation lives in the recursive clique's rules, so the
@@ -97,10 +95,8 @@ class TestAdornedNegation:
             arc(a, b). arc(b, c). arc(c, d).
             watchlist(c).
         """)
-        from repro.exec.strategies import run_cyclic_counting
-
-        naive = run_naive(query, db)
-        counting = run_cyclic_counting(query, db)
+        naive = run_strategy("naive", query, db)
+        counting = run_strategy("cyclic_counting", query, db)
         assert counting.answers == naive.answers == {("b",)}
 
     def test_sg_with_negated_filter_in_right_part(self):
@@ -116,12 +112,7 @@ class TestAdornedNegation:
             banned(m1).
             up(a, c). flat(c, n0). down(n0, n1).
         """)
-        from repro.exec.strategies import (
-            run_cyclic_counting,
-            run_pointer_counting,
-        )
-
-        naive = run_naive(query, db)
+        naive = run_strategy("naive", query, db)
         assert naive.answers == {("n1",)}
-        assert run_pointer_counting(query, db).answers == naive.answers
-        assert run_cyclic_counting(query, db).answers == naive.answers
+        for method in ("pointer_counting", "cyclic_counting"):
+            assert run_strategy(method, query, db).answers == naive.answers

@@ -5,7 +5,7 @@ import pytest
 from repro import Database, parse_query
 from repro.engine import evaluate_query
 from repro.errors import CountingDivergenceError, NotApplicableError
-from repro.exec.strategies import run_classical_counting
+from repro.exec.strategies import run_strategy
 from repro.rewriting.counting import classical_counting_rewrite
 
 
@@ -94,10 +94,10 @@ class TestSemantics:
 
     def test_divergence_on_cycle(self, sg_query, example5_db):
         with pytest.raises(CountingDivergenceError):
-            run_classical_counting(sg_query, example5_db)
+            run_strategy("classical_counting", sg_query, example5_db)
 
     def test_runner_answers(self, sg_query, sg_db):
-        result = run_classical_counting(sg_query, sg_db)
+        result = run_strategy("classical_counting", sg_query, sg_db)
         assert result.answers == {("e1",), ("f1",)}
         assert result.extras["counting_set_size"] == 3
 
@@ -106,7 +106,7 @@ class TestSemantics:
             up(a, b). flat(b, b1). down(b1, c1).
             up(z, w). flat(w, w1). down(w1, w2).
         """)
-        result = run_classical_counting(sg_query, db)
+        result = run_strategy("classical_counting", sg_query, db)
         # Counting set holds only a and b, not z/w.
         assert result.extras["counting_set_size"] == 2
         assert result.answers == {("c1",)}

@@ -6,11 +6,7 @@ import pytest
 from repro import Database, parse_query
 from repro.errors import NotApplicableError
 from repro.exec.counting_engine import SOURCE_TRIPLE, CountingEngine
-from repro.exec.strategies import (
-    run_cyclic_counting,
-    run_naive,
-    run_pointer_counting,
-)
+from repro.exec.strategies import run_strategy
 from repro.rewriting.adornment import adorn_query
 from repro.rewriting.canonical import canonicalize_clique, query_constants
 from repro.rewriting.support import goal_clique_of
@@ -87,7 +83,7 @@ class TestExample5Answers:
 
     def test_matches_naive(self, sg_query, example5_db):
         engine_answers = make_engine(sg_query, example5_db).run()
-        naive = run_naive(sg_query, example5_db)
+        naive = run_strategy("naive", sg_query, example5_db)
         assert engine_answers == naive.answers
 
 
@@ -141,7 +137,7 @@ class TestCycleThroughSource:
         """)
         engine = make_engine(sg_query, db)
         answers = engine.run()
-        naive = run_naive(sg_query, db)
+        naive = run_strategy("naive", sg_query, db)
         assert answers == naive.answers
         # x0 (0 ups), y1 (1 up), x2 (2 ups), y3, x4 ...
         assert ("x0",) in answers
@@ -151,13 +147,13 @@ class TestCycleThroughSource:
 
 class TestRunners:
     def test_pointer_runner_extras(self, sg_query, sg_db):
-        result = run_pointer_counting(sg_query, sg_db)
+        result = run_strategy("pointer_counting", sg_query, sg_db)
         assert result.extras["counting_rows"] == 3
         assert result.extras["counting_triples"] == 3
         assert result.answers == {("e1",), ("f1",)}
 
     def test_cyclic_runner_extras(self, sg_query, example5_db):
-        result = run_cyclic_counting(sg_query, example5_db)
+        result = run_strategy("cyclic_counting", sg_query, example5_db)
         assert result.extras["back_arcs"] == 1
         assert result.extras["counting_rows"] == 5
         assert result.answers == {("h",), ("j",), ("l",)}
@@ -175,8 +171,8 @@ class TestRunners:
             up(a, b). bridge(b, c).
             flat(c, c1). down(c1, d1). down(d1, e1).
         """)
-        cyclic = run_cyclic_counting(query, db)
-        naive = run_naive(query, db)
+        cyclic = run_strategy("cyclic_counting", query, db)
+        naive = run_strategy("naive", query, db)
         assert cyclic.answers == naive.answers == {("e1",)}
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro import Database, parse_query
 from repro.engine import SemiNaiveEngine
 from repro.errors import CountingDivergenceError, NotApplicableError
-from repro.exec.strategies import run_encoded_counting, run_naive
+from repro.exec.strategies import run_strategy
 from repro.rewriting.encoded import encoded_counting_rewrite
 
 
@@ -54,8 +54,8 @@ class TestSemantics:
         from repro.data.workloads import multi_rule_chain
 
         db, _source = multi_rule_chain(depth=9)
-        result = run_encoded_counting(example3_query, db)
-        naive = run_naive(example3_query, db)
+        result = run_strategy("encoded_counting", example3_query, db)
+        naive = run_strategy("naive", example3_query, db)
         assert result.answers == naive.answers
         assert result.answers
 
@@ -66,8 +66,8 @@ class TestSemantics:
             flat(c, c).
             down1(c, d). down2(d, e).
         """)
-        result = run_encoded_counting(example3_query, db)
-        naive = run_naive(example3_query, db)
+        result = run_strategy("encoded_counting", example3_query, db)
+        naive = run_strategy("naive", example3_query, db)
         assert result.answers == naive.answers == frozenset()
 
     def test_encoded_values_recorded(self, sg_query, sg_db):
@@ -85,7 +85,7 @@ class TestSemantics:
         bits = []
         for depth in (8, 16, 32):
             db, _source = sg_chain(depth)
-            result = run_encoded_counting(sg_query, db)
+            result = run_strategy("encoded_counting", sg_query, db)
             bits.append(result.extras["max_index_bits"])
         # Linear bit growth = exponential value growth (§3.4 critique).
         assert bits[0] >= 8
@@ -94,4 +94,4 @@ class TestSemantics:
 
     def test_diverges_on_cycles(self, sg_query, example5_db):
         with pytest.raises(CountingDivergenceError):
-            run_encoded_counting(sg_query, example5_db)
+            run_strategy("encoded_counting", sg_query, example5_db)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database, optimize, parse_query
 from repro.datalog import Query, unfold_all_nonrecursive
-from repro.exec.strategies import run_naive, run_strategy
+from repro.exec.strategies import run_strategy
 
 
 class TestUnfoldThenCount:
@@ -29,7 +29,7 @@ class TestUnfoldThenCount:
             unfold_all_nonrecursive(query.program, keep=[("sg", 2)]),
         )
         db = self.db()
-        expected = run_naive(query, db).answers
+        expected = run_strategy("naive", query, db).answers
         result = run_strategy("pointer_counting", flattened, db)
         assert result.answers == expected == {("e1",)}
         # The unfolded clique now has one arc per base alternative.
@@ -75,7 +75,7 @@ class TestOptimizeAcrossDataShapes:
         assert plans["no-db"].method == "cyclic_counting"
         for name, db in (("acyclic", acyclic), ("cyclic", cyclic)):
             result = plans[name].execute(db)
-            assert result.answers == run_naive(query, db).answers
+            assert result.answers == run_strategy("naive", query, db).answers
 
     def test_plan_reusable_across_databases(self):
         # A plan built without a database is a prepared query.

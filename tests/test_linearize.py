@@ -8,7 +8,7 @@ from repro import Database, optimize, parse_program, parse_query
 from repro.datalog import Query, format_program
 from repro.engine import evaluate_query
 from repro.errors import NotApplicableError
-from repro.exec.strategies import run_naive
+from repro.exec.strategies import run_strategy
 from repro.rewriting.linearize import (
     is_square_rule,
     linearize_square_rules,
@@ -133,7 +133,7 @@ class TestPipelineIntegration:
         assert plan.method != "magic"
         assert "linearization" in plan.reason
         result = plan.execute(db)
-        naive = run_naive(query, db)
+        naive = run_strategy("naive", query, db)
         assert result.answers == naive.answers == {
             ("b",), ("c",), ("d",)
         }
@@ -144,7 +144,7 @@ class TestPipelineIntegration:
         plan = optimize(query, db)
         assert "linearization" in plan.reason
         result = plan.execute(db)
-        assert result.answers == run_naive(query, db).answers
+        assert result.answers == run_strategy("naive", query, db).answers
 
     def test_truly_nonlinear_still_magic(self):
         # A non-square non-linear rule: no linearization applies.

@@ -6,12 +6,7 @@ import pytest
 
 from repro import Database, parse_query
 from repro.exec.magic_counting import recurring_nodes
-from repro.exec.strategies import (
-    run_cyclic_counting,
-    run_magic,
-    run_magic_counting,
-    run_naive,
-)
+from repro.exec.strategies import run_strategy
 from repro.graph import Arc, adjacency_successors, classify_arcs
 
 
@@ -46,14 +41,14 @@ class TestRecurringNodes:
 
 class TestHybridSemantics:
     def test_example5(self, sg_query, example5_db):
-        result = run_magic_counting(sg_query, example5_db)
+        result = run_strategy("magic_counting", sg_query, example5_db)
         assert result.answers == {("h",), ("j",), ("l",)}
         # Nodes d and e are recurring; a, b, c stay in the counting part.
         assert result.extras["recurring_nodes"] == 2
         assert result.extras["counting_rows"] == 3
 
     def test_acyclic_degenerates_to_counting(self, sg_query, sg_db):
-        result = run_magic_counting(sg_query, sg_db)
+        result = run_strategy("magic_counting", sg_query, sg_db)
         assert result.answers == {("e1",), ("f1",)}
         assert result.extras["recurring_nodes"] == 0
 
@@ -64,16 +59,16 @@ class TestHybridSemantics:
             down(x0, x1). down(x1, x2). down(x2, x3). down(x3, x4).
             down(y0, y1). down(y1, y2). down(y2, y3).
         """)
-        result = run_magic_counting(sg_query, db)
-        naive = run_naive(sg_query, db)
+        result = run_strategy("magic_counting", sg_query, db)
+        naive = run_strategy("naive", sg_query, db)
         assert result.answers == naive.answers
         assert result.extras["counting_rows"] == 0
 
     def test_sits_between_magic_and_algorithm2(self, sg_query,
                                                example5_db):
-        hybrid = run_magic_counting(sg_query, example5_db)
-        magic = run_magic(sg_query, example5_db)
-        algorithm2 = run_cyclic_counting(sg_query, example5_db)
+        hybrid = run_strategy("magic_counting", sg_query, example5_db)
+        magic = run_strategy("magic", sg_query, example5_db)
+        algorithm2 = run_strategy("cyclic_counting", sg_query, example5_db)
         assert hybrid.stats.total_work < magic.stats.total_work
         assert algorithm2.stats.total_work < hybrid.stats.total_work
 
@@ -90,8 +85,8 @@ class TestHybridSemantics:
             down(f, g, 8). down(g, h, 7).
             down(f, zz, 5).
         """)
-        hybrid = run_magic_counting(query, db)
-        naive = run_naive(query, db)
+        hybrid = run_strategy("magic_counting", query, db)
+        naive = run_strategy("naive", query, db)
         assert hybrid.answers == naive.answers
 
     def test_mutual_recursion_cyclic(self):
@@ -107,8 +102,8 @@ class TestHybridSemantics:
             down(m0, m1). down(m1, m2). down(m2, m3). down(m3, m4).
             down(n0, n1). down(n1, n2). down(n2, n3).
         """)
-        hybrid = run_magic_counting(query, db)
-        naive = run_naive(query, db)
+        hybrid = run_strategy("magic_counting", query, db)
+        naive = run_strategy("naive", query, db)
         assert hybrid.answers == naive.answers
 
 
@@ -128,6 +123,6 @@ class TestHybridRandom:
         for _ in range(rng.randrange(2, 3 * n)):
             db.add_fact("down", "m%d" % rng.randrange(n),
                         "m%d" % rng.randrange(n))
-        hybrid = run_magic_counting(sg_query, db)
-        naive = run_naive(sg_query, db)
+        hybrid = run_strategy("magic_counting", sg_query, db)
+        naive = run_strategy("naive", sg_query, db)
         assert hybrid.answers == naive.answers

@@ -77,18 +77,13 @@ class TestStrategySupportMaterialization:
             flat(c, c1).
             down(c1, d1). down(d1, e1).
         """)
-        from repro.exec.strategies import (
-            run_cyclic_counting,
-            run_magic_counting,
-            run_naive,
-            run_pointer_counting,
-        )
+        from repro.exec.strategies import run_strategy
 
-        expected = run_naive(query, db).answers
+        expected = run_strategy("naive", query, db).answers
         assert expected == {("e1",)}
-        for runner in (run_pointer_counting, run_cyclic_counting,
-                       run_magic_counting):
-            assert runner(query, db).answers == expected
+        for method in ("pointer_counting", "cyclic_counting",
+                       "magic_counting"):
+            assert run_strategy(method, query, db).answers == expected
 
 
 class TestOptimizePlanWithExtensions:

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Database, parse_query
 from repro.errors import ReproError
-from repro.exec.strategies import STRATEGIES, run_naive, run_strategy
+from repro.exec.strategies import STRATEGIES, run_strategy
 
 # Nodes are (city, line) pairs; a trip segment moves both coordinates.
 QUERY = parse_query("""
@@ -49,16 +49,14 @@ class TestTwoBoundArguments:
     )
     def test_matches_naive(self, method):
         db = make_db()
-        expected = run_naive(QUERY, db).answers
+        expected = run_strategy("naive", QUERY, db).answers
         assert expected  # non-degenerate
         result = run_strategy(method, QUERY, db)
         assert result.answers == expected
 
     def test_counting_rows_are_pair_nodes(self):
-        from repro.exec.strategies import run_pointer_counting
-
         db = make_db()
-        result = run_pointer_counting(QUERY, db)
+        result = run_strategy("pointer_counting", QUERY, db)
         # depth legs + source: one row per (city, line) pair reached.
         assert result.extras["counting_rows"] == 7
 
@@ -70,7 +68,7 @@ class TestTwoBoundArguments:
         db.add_fact("hub", "lyon", "tgv", "h0")
         for i in range(8):
             db.add_fact("ret", "h%d" % i, "h%d" % (i + 1))
-        expected = run_naive(QUERY, db).answers
+        expected = run_strategy("naive", QUERY, db).answers
         assert run_strategy("cyclic_counting", QUERY, db).answers \
             == expected
         assert run_strategy("magic_counting", QUERY, db).answers \

@@ -78,13 +78,13 @@ class TestOptimize:
 
     def test_auto_matches_naive_everywhere(self):
         from repro.data import WORKLOADS
-        from repro.exec.strategies import run_naive
+        from repro.exec.strategies import run_strategy
 
         for workload in WORKLOADS.values():
             db, _source = workload.make_db()
             plan = optimize(workload.query, db)
             result = plan.execute(db)
-            naive = run_naive(workload.query, db)
+            naive = run_strategy("naive", workload.query, db)
             assert result.answers == naive.answers, workload.name
 
     def test_plan_repr(self, sg_query, sg_db):

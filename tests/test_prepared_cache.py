@@ -14,7 +14,9 @@ from repro.data.workloads import (
 from repro.engine.database import Database
 from repro.engine.instrumentation import EvalStats
 from repro.engine.relation import EmptyRelation, Relation
+from repro.errors import ReproError
 from repro.exec import (
+    STRATEGIES,
     AnswerCache,
     CountingTableStore,
     PreparedQuery,
@@ -86,7 +88,41 @@ class TestSatelliteFixes:
 
 # -- warm == cold across every applicable strategy ---------------------
 
+#: Extras only a prepared run reports.
+PREPARED_EXTRAS = ("prepared", "cache_hit", "counting_table_reused")
+
+
+def outcome(run):
+    """Answers, counters and extras of ``run()``, or its typed error."""
+    try:
+        result = run()
+    except ReproError as exc:
+        return type(exc), str(exc)
+    extras = {
+        name: value for name, value in result.extras.items()
+        if name not in PREPARED_EXTRAS
+    }
+    return result.answers, result.stats.as_dict(), extras
+
+
 class TestWarmEqualsCold:
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize(
+        "method", sorted(set(STRATEGIES) - {"parallel"})
+    )
+    def test_first_run_equals_cold(self, workload, method):
+        # Every cell, applicable or not: the prepared form's first run
+        # gives the cold run's answers, counters and extras, or raises
+        # the same error with the same message.
+        query = WORKLOADS[workload].query
+        db, _source = WORKLOADS[workload].make_db()
+        cold = outcome(lambda: run_strategy(method, query, db))
+        db, _source = WORKLOADS[workload].make_db()
+        prepared = outcome(
+            lambda: PreparedQuery(query, db, method=method).run(db=db)
+        )
+        assert prepared == cold
+
     @pytest.mark.parametrize(
         "method", WORKLOADS["sg_chain"].applicable
     )
@@ -313,6 +349,23 @@ class TestCountingTableStore:
         )
         result = second.run(db=db)
         assert result.extras["counting_table_reused"] is True
+
+    def test_parallel_phase_one_looks_up_once_per_run(self):
+        # Shipping phase 1 to workers must not add a store probe of its
+        # own: the engine's lookup is the only one.
+        workload = WORKLOADS["sg_tree"]
+        db, _source = workload.make_db(fanout=2, depth=4)
+        store = CountingTableStore()
+        prepared = PreparedQuery(
+            workload.query, db, method="pointer_counting",
+            counting_store=store,
+        )
+        runs = [prepared.run(db=db, workers=2) for _ in range(3)]
+        assert store.lookups == len(runs)
+        assert (store.hits, store.misses) == (2, 1)
+        assert runs[0].extras["parallel_phase1_workers"] == 2
+        assert "parallel_phase1_workers" not in runs[1].extras
+        assert runs[1].extras["counting_table_reused"] is True
 
     def test_store_stats_snapshot(self):
         store = CountingTableStore(capacity=1)

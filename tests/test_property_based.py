@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro import Database, parse_query
 from repro.datalog.terms import Constant, Variable, make_list
 from repro.datalog.unify import resolve, unify
-from repro.exec.strategies import run_naive, run_strategy
+from repro.exec.strategies import run_strategy
 from repro.graph import adjacency_successors, classify_arcs
 from repro.graph.dfs import Arc
 
@@ -60,7 +60,7 @@ class TestEquivalenceSG:
     @given(arc_lists, arc_lists, arc_lists)
     def test_magic_and_cyclic_match_naive(self, ups, flats, downs):
         db = build_sg_db(ups, flats, downs)
-        expected = run_naive(SG, db).answers
+        expected = run_strategy("naive", SG, db).answers
         assert run_strategy("magic", SG, db).answers == expected
         assert run_strategy("cyclic_counting", SG, db).answers == expected
 
@@ -75,7 +75,7 @@ class TestEquivalenceSG:
     def test_acyclic_methods_match_naive(self, ups, flats, downs):
         # Up arcs i -> j with i < j: guaranteed acyclic left graph.
         db = build_sg_db(ups, flats, downs)
-        expected = run_naive(SG, db).answers
+        expected = run_strategy("naive", SG, db).answers
         for method in ("classical_counting", "extended_counting",
                        "reduced_counting", "pointer_counting"):
             assert run_strategy(method, SG, db).answers == expected, method
@@ -94,7 +94,7 @@ class TestEquivalenceMixed:
     @given(arc_lists, arc_lists, arc_lists)
     def test_reduced_matches_naive_even_cyclic(self, ups, flats, downs):
         db = build_sg_db(ups, flats, downs)
-        expected = run_naive(MIXED, db).answers
+        expected = run_strategy("naive", MIXED, db).answers
         assert run_strategy("reduced_counting", MIXED, db).answers \
             == expected
         assert run_strategy("cyclic_counting", MIXED, db).answers \
@@ -122,7 +122,7 @@ class TestEquivalenceMultiRule:
         for i, j in flats:
             db.add_fact("flat", node(i), "m%d" % j)
         db.add_fact("up1", "a", node(0))
-        expected = run_naive(MULTI, db).answers
+        expected = run_strategy("naive", MULTI, db).answers
         assert run_strategy("cyclic_counting", MULTI, db).answers \
             == expected
         assert run_strategy("magic", MULTI, db).answers == expected

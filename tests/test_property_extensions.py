@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro import Database, parse_program, parse_query
 from repro.engine import evaluate_program
-from repro.exec.strategies import run_naive, run_strategy
+from repro.exec.strategies import run_strategy
 
 SLOW = settings(
     max_examples=25,
@@ -65,7 +65,7 @@ class TestHybridProperties:
     @given(arc_lists, arc_lists, arc_lists)
     def test_magic_counting_matches_naive(self, ups, flats, downs):
         db = sg_db(ups, flats, downs)
-        expected = run_naive(SG, db).answers
+        expected = run_strategy("naive", SG, db).answers
         assert run_strategy("magic_counting", SG, db).answers == expected
 
     @SLOW
@@ -87,7 +87,7 @@ class TestHybridProperties:
         for i, j, w in downs:
             db.add_fact("down", "m%d" % i, "m%d" % j, w)
         db.add_fact("up", "a", node(0), 0)
-        expected = run_naive(SHARED, db).answers
+        expected = run_strategy("naive", SHARED, db).answers
         assert run_strategy("magic_counting", SHARED, db).answers \
             == expected
         assert run_strategy("cyclic_counting", SHARED, db).answers \
@@ -99,14 +99,14 @@ class TestSupMagicProperties:
     @given(arc_lists, arc_lists, arc_lists)
     def test_sup_magic_matches_naive(self, ups, flats, downs):
         db = sg_db(ups, flats, downs)
-        expected = run_naive(SG, db).answers
+        expected = run_strategy("naive", SG, db).answers
         assert run_strategy("sup_magic", SG, db).answers == expected
 
     @SLOW
     @given(arc_lists, arc_lists, arc_lists)
     def test_sup_magic_on_mixed_linear(self, ups, flats, downs):
         db = sg_db(ups, flats, downs)
-        expected = run_naive(MIXED, db).answers
+        expected = run_strategy("naive", MIXED, db).answers
         assert run_strategy("sup_magic", MIXED, db).answers == expected
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro import Database, parse_query
 from repro.errors import NotApplicableError
 from repro.exec.qsq import QSQEngine, qsq_evaluate
-from repro.exec.strategies import run_magic, run_naive, run_qsq
+from repro.exec.strategies import run_strategy
 from repro.rewriting.adornment import adorn_query
 
 
@@ -26,8 +26,8 @@ class TestBasics:
         assert bindings == {("a",), ("b",)}
 
     def test_memo_matches_magic_set(self, sg_query, sg_db):
-        qsq = run_qsq(sg_query, sg_db)
-        magic = run_magic(sg_query, sg_db)
+        qsq = run_strategy("qsq", sg_query, sg_db)
+        magic = run_strategy("magic", sg_query, sg_db)
         assert qsq.answers == magic.answers
         # Subqueries correspond to magic tuples.
         assert qsq.extras["subqueries"] == \
@@ -58,8 +58,8 @@ class TestBasics:
 
         for workload in WORKLOADS.values():
             db, _source = workload.make_db()
-            expected = run_naive(workload.query, db).answers
-            result = run_qsq(workload.query, db)
+            expected = run_strategy("naive", workload.query, db).answers
+            result = run_strategy("qsq", workload.query, db)
             assert result.answers == expected, workload.name
 
 
@@ -89,12 +89,11 @@ class TestNegationPolicy:
 class TestWorkProfile:
     def test_tracks_magic_not_counting(self, sg_query):
         from repro.data.workloads import sg_tree
-        from repro.exec.strategies import run_pointer_counting
 
         db, _source = sg_tree(fanout=2, depth=5)
-        qsq = run_qsq(sg_query, db)
-        magic = run_magic(sg_query, db)
-        pointer = run_pointer_counting(sg_query, db)
+        qsq = run_strategy("qsq", sg_query, db)
+        magic = run_strategy("magic", sg_query, db)
+        pointer = run_strategy("pointer_counting", sg_query, db)
         # Same family as magic: within 3x either way...
         assert qsq.stats.total_work < 3 * magic.stats.total_work
         # ...and clearly above the counting method.

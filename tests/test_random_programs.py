@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import Database, parse_query
-from repro.exec.strategies import run_naive, run_strategy
+from repro.exec.strategies import run_strategy
 
 #: Rule templates over base predicates u1/u2 (left), d1/d2 (right),
 #: uw/dw (ternary, shared variable), f (exit).
@@ -69,7 +69,7 @@ def test_random_program_random_data(seed):
     ]
     query = build_query(rule_indexes)
     db = build_db(rng)
-    expected = run_naive(query, db).answers
+    expected = run_strategy("naive", query, db).answers
     for method in METHODS:
         result = run_strategy(method, query, db)
         assert result.answers == expected, (
@@ -116,7 +116,7 @@ def test_random_program_acyclic_data(seed):
                     "y%d" % rng.randrange(nodes))
     db.add_fact("u1", "a", "x0")
 
-    expected = run_naive(query, db).answers
+    expected = run_strategy("naive", query, db).answers
     # The u-side only has forward arcs, so the left graph is acyclic
     # and every counting variant must apply without a ReproError.
     for method in ("extended_counting", "reduced_counting",

@@ -9,11 +9,7 @@ import pytest
 
 from repro.data import WORKLOADS
 from repro.errors import ReproError
-from repro.exec.strategies import (
-    STRATEGIES,
-    run_naive,
-    run_strategy,
-)
+from repro.exec.strategies import STRATEGIES, run_strategy
 
 SIZED = {
     "sg_tree": [dict(fanout=2, depth=3), dict(fanout=3, depth=3)],
@@ -47,7 +43,7 @@ def _cases():
 def test_strategy_matches_naive(name, params, strategy):
     workload = WORKLOADS[name]
     db, _source = workload.make_db(**params)
-    expected = run_naive(workload.query, db).answers
+    expected = run_strategy("naive", workload.query, db).answers
     result = run_strategy(strategy, workload.query, db)
     assert result.answers == expected
 

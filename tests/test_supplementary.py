@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database, parse_query
 from repro.engine import SemiNaiveEngine, evaluate_query
-from repro.exec.strategies import run_magic, run_naive, run_sup_magic
+from repro.exec.strategies import run_strategy
 from repro.rewriting.supplementary import supplementary_magic_rewrite
 
 
@@ -80,8 +80,8 @@ class TestSemantics:
 
         for workload in WORKLOADS.values():
             db, _source = workload.make_db()
-            basic = run_magic(workload.query, db)
-            sup = run_sup_magic(workload.query, db)
+            basic = run_strategy("magic", workload.query, db)
+            sup = run_strategy("sup_magic", workload.query, db)
             assert sup.answers == basic.answers, workload.name
 
     def test_prefix_not_reevaluated(self):
@@ -98,8 +98,8 @@ class TestSemantics:
         for i in range(50):
             db.add_fact("big1", "a", "k%d" % i)
             db.add_fact("link", "k%d" % i, "b")
-        basic = run_magic(query, db)
-        sup = run_sup_magic(query, db)
+        basic = run_strategy("magic", query, db)
+        sup = run_strategy("sup_magic", query, db)
         assert sup.answers == basic.answers == {("win",)}
         assert sup.stats.tuples_scanned < basic.stats.tuples_scanned
 
@@ -114,15 +114,14 @@ class TestSemantics:
             cand(b). cand(c). bad(c).
             arc(a, b). arc(b, c).
         """)
-        sup = run_sup_magic(query, db)
-        naive = run_naive(query, db)
+        sup = run_strategy("sup_magic", query, db)
+        naive = run_strategy("naive", query, db)
         assert sup.answers == naive.answers
 
     def test_counting_still_beats_sup_magic(self, sg_query):
         from repro.data.workloads import sg_tree
-        from repro.exec.strategies import run_pointer_counting
 
         db, _source = sg_tree(fanout=2, depth=5)
-        sup = run_sup_magic(sg_query, db)
-        pointer = run_pointer_counting(sg_query, db)
+        sup = run_strategy("sup_magic", sg_query, db)
+        pointer = run_strategy("pointer_counting", sg_query, db)
         assert pointer.stats.total_work < sup.stats.total_work
