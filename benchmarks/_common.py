@@ -1,5 +1,6 @@
 """Helpers shared by the experiment benchmark modules."""
 
+from repro.bench.reporting import format_table
 from repro.exec.strategies import run_strategy
 
 
@@ -81,6 +82,34 @@ def timed_phases(query, db, method, repeats=1, **options):
         "execute": execute,
         "result": best,
     }
+
+
+def wall_clock_table(title, query, cells, repeats=5):
+    """Pointer counting against magic sets in wall-clock time.
+
+    ``cells`` lists ``(label, db)``.  Each method keeps the best of
+    ``repeats`` runs over the cell's database (the first run builds the
+    relation indexes later runs share), shown next to its work and the
+    pointer/magic time ratio, which is below 1 where pointer counting
+    is faster.
+    """
+    rows = []
+    for label, db in cells:
+        pointer = timed_phases(query, db, "pointer_counting", repeats)
+        magic = timed_phases(query, db, "magic", repeats)
+        rows.append([
+            label,
+            pointer["result"].stats.total_work,
+            magic["result"].stats.total_work,
+            round(pointer["total"] * 1e3, 2),
+            round(magic["total"] * 1e3, 2),
+            round(pointer["total"] / magic["total"], 2),
+        ])
+    return format_table(
+        ["workload", "pointer work", "magic work", "pointer ms",
+         "magic ms", "pointer/magic time"],
+        rows, title=title,
+    )
 
 
 def assert_claims(benchmark, check):

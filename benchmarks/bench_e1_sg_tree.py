@@ -14,7 +14,7 @@ in join work, with the counting-vs-magic gap growing with depth.
 import pytest
 
 from conftest import register_table
-from _common import assert_claims, make_timer, work_of
+from _common import assert_claims, make_timer, wall_clock_table, work_of
 
 from repro import parse_query
 from repro.bench import matrix_table, run_matrix
@@ -60,6 +60,14 @@ def rows():
             collected,
             title="E1: same generation, mirrored binary trees + %d "
                   "distractor trees" % DISTRACTORS,
+        ),
+    )
+    register_table(
+        "e1_wall_clock",
+        wall_clock_table(
+            "E1: pointer counting vs magic, best of 5",
+            QUERY,
+            [("depth=%d" % depth, make_db(depth)) for depth in DEPTHS],
         ),
     )
     return collected

@@ -13,7 +13,13 @@ and pointer counting match naive answers and beat magic on work.
 import pytest
 
 from conftest import register_table
-from _common import assert_claims, error_of, make_timer, work_of
+from _common import (
+    assert_claims,
+    error_of,
+    make_timer,
+    wall_clock_table,
+    work_of,
+)
 
 from repro.bench import matrix_table, run_matrix
 from repro.data.workloads import WORKLOADS
@@ -42,6 +48,15 @@ def rows():
             collected,
             title="E3: two recursive rules (Example 3), alternating "
                   "chains",
+        ),
+    )
+    register_table(
+        "e3_wall_clock",
+        wall_clock_table(
+            "E3: pointer counting vs magic, best of 5",
+            WORKLOAD.query,
+            [("depth=%d" % depth, WORKLOAD.make_db(depth=depth)[0])
+             for depth in DEPTHS],
         ),
     )
     return collected

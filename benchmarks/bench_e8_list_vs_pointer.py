@@ -16,7 +16,7 @@ extended program at every depth, and the gap grows with depth.
 import pytest
 
 from conftest import register_table
-from _common import assert_claims, make_timer, work_of
+from _common import assert_claims, make_timer, wall_clock_table, work_of
 
 from repro.bench import matrix_table, run_matrix
 from repro.data.workloads import WORKLOADS
@@ -43,6 +43,15 @@ def rows():
                   "vs pointer implementation (§3.4)",
             baseline="extended_counting",
             extra_columns=("max_index_bits",),
+        ),
+    )
+    register_table(
+        "e8_wall_clock",
+        wall_clock_table(
+            "E8: pointer counting vs magic, best of 5",
+            WORKLOAD.query,
+            [("depth=%d" % depth, WORKLOAD.make_db(depth=depth)[0])
+             for depth in DEPTHS],
         ),
     )
     return collected

@@ -302,7 +302,8 @@ def _projection_exprs(projection, written, ns):
     return exprs
 
 
-def _generate_batched(steps, projection, eager, entry=None, bound=False):
+def _generate_batched(steps, projection, eager, entry=None, bound=False,
+                      many=False):
     """Shared emitter/collector generation; None outside the shape.
 
     Requirements: the last step is a scan whose ops are writes and
@@ -322,6 +323,11 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     remaining slots persist each scan's resolved relation and probe
     view between calls.  The generated function carries the state size
     as ``_state_size``.
+
+    ``many`` (requires ``bound``) takes a list of value sequences
+    instead of one, ``(state, values_list, stats)``, and returns one
+    result list per sequence: the per-binding body runs inside a loop
+    in the generated code, so a batch of bindings costs one Python call.
     """
     if not steps:
         last_spec = None
@@ -341,21 +347,28 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     def w(depth, text):
         lines.append("    " * depth + text)
 
+    base = 1
     if entry is None:
         w(0, "def _run(resolver, slots, stats):")
     else:
         nslots, loader = entry
         if bound:
-            w(0, "def _run(state, values, stats):")
+            w(0, "def _run(state, values_list, stats=None):" if many
+              else "def _run(state, values, stats):")
             w(1, "resolver = state[0]")
         else:
             w(0, "def _run(resolver, values, stats):")
-        w(1, "slots = [_none] * %d" % nslots)
+        if many:
+            tag = "many"
+            w(1, "_outs = []")
+            w(1, "for values in values_list:")
+            base = 2
+        w(base, "slots = [_none] * %d" % nslots)
         # Unrolled in loader order: duplicate in_names keep their
         # later-wins semantics.
         for j, slot in enumerate(loader):
-            w(1, "slots[%d] = values[%d]" % (slot, j))
-    pad = 1
+            w(base, "slots[%d] = values[%d]" % (slot, j))
+    pad = base
 
     if last_spec is None:
         exprs = _projection_exprs(projection, {}, ns)
@@ -365,7 +378,11 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
             ", ".join(exprs) + ("," if len(exprs) == 1 else "")
             if exprs else ""
         )
-        w(pad, ("return %s" if eager else "yield %s") % batch)
+        if many:
+            w(pad, "_outs.append(%s)" % batch)
+            w(1, "return _outs")
+        else:
+            w(pad, ("return %s" if eager else "yield %s") % batch)
         fn = _compile_fn(lines, ns, tag)
         if bound:
             fn._state_size = state_alloc[0]
@@ -373,6 +390,10 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
 
     if eager:
         w(pad, "_out = []")
+    if many:
+        # Appended up front, so an early filter failure ("continue")
+        # still leaves this binding's (empty) result in place.
+        w(pad, "_outs.append(_out)")
     scans = []
     for i, step in enumerate(steps[:-1]):
         spec = getattr(step, "scan_spec", None)
@@ -407,6 +428,18 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
         ", ".join(exprs) + ("," if len(exprs) == 1 else "")
         if exprs else ""
     )
+    if many:
+        # One binding's bucket is typically a handful of rows: a plain
+        # loop skips the comprehension's per-call frame.
+        w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
+        if conds:
+            w(pad + 1, "if %s:" % " and ".join(conds))
+            pad += 1
+        w(pad + 1, "_out.append(%s)" % tuple_expr)
+        w(1, "return _outs")
+        fn = _compile_fn(lines, ns, tag)
+        fn._state_size = state_alloc[0]
+        return fn
     comp = "%s for _r%d in _reversed(_c%d)" % (tuple_expr, i, i)
     for cond in conds:
         comp += " if %s" % cond
@@ -470,4 +503,17 @@ def generate_bound_collector(steps, projection, nslots, loader):
     return _generate_batched(
         steps, projection, eager=True, entry=(nslots, tuple(loader)),
         bound=True,
+    )
+
+
+def generate_bound_many_collector(steps, projection, nslots, loader):
+    """The batched :func:`generate_bound_collector`:
+    ``(state, values_list, stats)`` returns one result list per value
+    sequence, in order, with the per-binding loop inside the generated
+    code.  Counter updates are those of one single-binding call per
+    sequence, so a batch is observably a loop of single calls.
+    """
+    return _generate_batched(
+        steps, projection, eager=True, entry=(nslots, tuple(loader)),
+        bound=True, many=True,
     )

@@ -49,6 +49,8 @@ checks all of this against an independent tuple-at-a-time reference
 evaluator (``tests/oracle.py``).
 """
 
+from functools import partial
+
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.terms import (
     ARITH_FUNCTORS,
@@ -64,6 +66,7 @@ from ..errors import EvaluationError
 from .builtins import _ordered
 from .codegen import (
     generate_bound_collector,
+    generate_bound_many_collector,
     generate_collector,
     generate_emitter,
     generate_entry_collector,
@@ -828,6 +831,15 @@ class CompiledBody:
             generate_bound_collector, projection, self.nslots, loader,
         )
 
+    def bound_many_collector(self, projection, loader):
+        """:meth:`bound_collector` over a batch of bindings:
+        ``(state, values_list, stats)`` returns one result list per
+        value sequence — see :meth:`BoundQuery.bind_many`."""
+        return self._generated(
+            ("bound_many", projection, tuple(loader)),
+            generate_bound_many_collector, projection, self.nslots, loader,
+        )
+
 
 def compile_body(body, bound_names=()):
     """Compile ``body`` given ``bound_names`` pre-bound."""
@@ -1067,6 +1079,31 @@ class BoundQuery:
                 return _emit(_state, values, stats)
             return _slow(_resolver, values, stats)
         return run
+
+    def bind_many(self, resolver):
+        """A callable ``(values_list, stats=None)`` pinned to ``resolver``.
+
+        The set-at-a-time form of :meth:`bind`: one call runs the body
+        under every value sequence of ``values_list`` and returns one
+        result list per sequence, in order.  The loop over the
+        bindings runs inside the generated code, and probes, counters
+        and the cross-call relation/view state are exactly those of
+        one :meth:`bind` call per sequence, so a batch is observably a
+        loop of single runs.  Each sequence must hold exactly
+        ``len(in_names)`` values; the same resolver contract as
+        :meth:`bind` applies.
+        """
+        emit = self.compiled.bound_many_collector(self._out_spec,
+                                                  self._loader)
+        if emit is None:
+            def run_many(values_list, stats=None,
+                         _run=self.run, _resolver=resolver):
+                return [list(_run(_resolver, values, stats))
+                        for values in values_list]
+            return run_many
+        state = [None] * emit._state_size
+        state[0] = resolver
+        return partial(emit, state)
 
     def _run_execute(self, resolver, slots, stats):
         project = row_spec_fn(self._out_spec)

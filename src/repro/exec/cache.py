@@ -167,7 +167,7 @@ class CountingTableStore:
     Keys identify a source node of a specific query form; the stored
     value is the :class:`~repro.exec.counting_engine.CountingTable`
     built from that node plus the epoch snapshot of the base relations
-    the DFS read.  A lookup under a different snapshot drops the entry:
+    phase 1 read.  A lookup under a different snapshot drops the entry:
     the left graph may have gained arcs, so the table cannot be
     trusted, only rebuilt.
     """

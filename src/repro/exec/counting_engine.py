@@ -2,11 +2,32 @@
 
 This module is the executable form of the paper's implementation notes:
 instead of evaluating the weakly-stratified rewritten program through a
-generic engine, the counting set is built directly during the DFS over
-the left-part graph (the paper's Bushy-Depth-First fixpoint), back-arc
-information is folded into the counting tuples (making the predicate
-``f`` unnecessary), and the answer phase navigates tuple identifiers —
-"a direct access to the memory".
+generic engine, the counting set is built directly from the left-part
+graph, back-arc information is folded into the counting tuples (making
+the predicate ``f`` unnecessary), and the answer phase navigates tuple
+identifiers — "a direct access to the memory".  Both phases run
+set-at-a-time:
+
+1. **Waves.**  :class:`LeftGraph` grows the left graph reachable from
+   the source in breadth waves.  Each wave issues one batched
+   bound-query call per recursive rule (:meth:`BoundQuery.bind_many
+   <repro.engine.compile.BoundQuery.bind_many>`), covering every
+   frontier node of the rule's head predicate, and the result is the
+   finished successor map.
+   :class:`~repro.parallel.counting.WavePool` spreads the same waves
+   over worker processes.
+2. **Replay.**  :func:`~repro.graph.dfs.classify_arcs` runs once over
+   that map — the DFS performs no database work — and its discovery
+   order and arc lists fill the :class:`CountingTable` directly.
+   Successors are visited in the classification's deterministic
+   order, so table ids do not depend on the wave order.
+3. **Level-batched unwind.**  The answer phase pops a whole
+   breadth-first level of states at a time and runs one batched call
+   per exit, modified or left-linear rule for the level, then emits the
+   derived states in exactly the order the one-state-at-a-time FIFO
+   would have: parents, ``answer_path`` and ``max_frontier`` are those
+   of that discipline.  The Bushy-Depth-First order runs the same loop
+   with levels of one state.
 
 Data model
 ----------
@@ -30,6 +51,12 @@ The state space is finite — at most ``|answers| × |rows|`` states — for
 Theorem 2(3).  On acyclic data the table coincides with the §3.4
 pointer implementation; the back-arc triples are exactly the extra
 information Algorithm 2 adds.
+
+Counters are those of one single-node or single-state query call per
+expansion, so they do not depend on the batching.  A budget is checked
+once per node expansion and once per state pop, as before; when one
+fires, the partial counters attached to the error may include the rest
+of the current wave's or level's batched queries.
 """
 
 from array import array
@@ -54,27 +81,24 @@ class _TripleView:
     iteration, ``len``, ``in``, indexing — while the storage lives in
     the :class:`CountingTable`'s parallel arrays.  Iteration
     materializes ``(label, shared values, predecessor id)`` tuples on
-    the fly; hot loops inside the engine skip the tuples and read the
-    arrays through the ordinals directly.
+    the fly; the engine itself reads the arrays directly.
     """
 
-    __slots__ = ("_table", "_row_id", "ordinals")
+    __slots__ = ("_table", "_row_id")
 
     def __init__(self, table, row_id):
         self._table = table
         self._row_id = row_id
-        #: Positions of this row's triples in the flat arrays, in
-        #: append order.
-        self.ordinals = []
+
+    @property
+    def ordinals(self):
+        """Positions of this row's triples in the flat arrays, in
+        append order."""
+        return self._table.ordinals[self._row_id]
 
     def append(self, triple):
         label, shared, prev = triple
-        table = self._table
-        self.ordinals.append(len(table.t_label))
-        table.t_label.append(label)
-        table.t_shared.append(shared)
-        table.t_prev.append(_NO_PREV if prev is None else prev)
-        table.t_row.append(self._row_id)
+        self._table.add_triple(self._row_id, label, shared, prev)
 
     def _triple(self, ordinal):
         table = self._table
@@ -106,14 +130,14 @@ class _TripleView:
 
 
 class CountingRow:
-    """One node of the counting set."""
+    """One node of the counting set: a view of one table row."""
 
     __slots__ = ("id", "pred", "values", "triples")
 
-    def __init__(self, row_id, pred, values, table):
+    def __init__(self, table, row_id):
         self.id = row_id
-        self.pred = pred
-        self.values = values
+        self.pred = table.preds[row_id]
+        self.values = table.values[row_id]
         #: View of (rule label, shared values, predecessor row id)
         #: in-triples; storage lives in the table's flat arrays.
         self.triples = _TripleView(table, row_id)
@@ -127,22 +151,25 @@ class CountingRow:
 class CountingTable:
     """The per-node counting set with predecessor triples.
 
-    Triples are stored as flat parallel arrays — ``t_label`` /
-    ``t_shared`` (lists) and ``t_prev`` / ``t_row`` (``array('q')``
-    machine words, ``-1`` encoding "no predecessor") — with each row
-    keeping the ordinals of its own triples.  One triple therefore
-    costs two list slots and two machine words instead of a dedicated
-    tuple object, and the answer phase unwinds by indexing the arrays
-    directly instead of destructuring tuples.
+    Rows are flat parallel lists — ``preds`` and ``values`` per row id,
+    ``ordinals`` holding each row's triple positions — and triples are
+    flat parallel arrays: ``t_label`` / ``t_shared`` (lists) and
+    ``t_prev`` / ``t_row`` (``array('q')`` machine words, ``-1``
+    encoding "no predecessor").  No object exists per row or per triple
+    unless asked for: :attr:`rows` and :meth:`row_for` hand out
+    :class:`CountingRow` views on demand.
     """
 
-    __slots__ = ("rows", "index", "source_id", "back_arc_count",
-                 "ahead_arc_count", "t_label", "t_shared", "t_prev",
-                 "t_row")
+    __slots__ = ("index", "preds", "values", "ordinals", "source_id",
+                 "back_arc_count", "ahead_arc_count", "t_label",
+                 "t_shared", "t_prev", "t_row", "_views")
 
     def __init__(self):
-        self.rows = []
+        #: Node ``(pred, values)`` -> row id.
         self.index = {}
+        self.preds = []
+        self.values = []
+        self.ordinals = []
         self.source_id = 0
         self.back_arc_count = 0
         self.ahead_arc_count = 0
@@ -152,18 +179,87 @@ class CountingTable:
         self.t_shared = []
         self.t_prev = array("q")
         self.t_row = array("q")
+        self._views = []
 
-    def row_for(self, pred, values):
+    @classmethod
+    def from_classification(cls, classification):
+        """The table of a left-graph arc classification.
+
+        Row ids follow DFS discovery order (the source is row 0 with
+        the sentinel triple); each row's in-triples are its tree,
+        forward, cross and then back arcs, each kind in DFS order.
+        """
+        table = cls()
+        index = table.index
+        for row_id, node in enumerate(classification.order):
+            index[node] = row_id
+        table.preds = [node[0] for node in classification.order]
+        table.values = [node[1] for node in classification.order]
+        table.ordinals = [[] for _ in classification.order]
+        table.add_triple(0, *SOURCE_TRIPLE)
+        tree, forward, cross, back = classification.arc_tuples
+        table._add_arcs(tree + forward + cross)
+        table.ahead_arc_count = len(tree) + len(forward) + len(cross)
+        table._add_arcs(back)
+        table.back_arc_count = len(back)
+        return table
+
+    def _add_arcs(self, arcs):
+        index = self.index
+        ordinals = self.ordinals
+        start = len(self.t_label)
+        targets = [index[target] for _source, target, _label in arcs]
+        self.t_label += [label for _s, _t, (label, _shared) in arcs]
+        self.t_shared += [shared for _s, _t, (_label, shared) in arcs]
+        self.t_prev.extend([index[source] for source, _t, _l in arcs])
+        self.t_row.extend(targets)
+        for ordinal, row_id in enumerate(targets, start):
+            ordinals[row_id].append(ordinal)
+
+    def add_row(self, pred, values):
+        """The id of node ``(pred, values)``, appending a row if new."""
         key = (pred, values)
         row_id = self.index.get(key)
         if row_id is None:
-            row_id = len(self.rows)
+            row_id = len(self.preds)
             self.index[key] = row_id
-            self.rows.append(CountingRow(row_id, pred, values, self))
-        return self.rows[row_id]
+            self.preds.append(pred)
+            self.values.append(values)
+            self.ordinals.append([])
+        return row_id
+
+    def add_triple(self, row_id, label, shared, prev):
+        """Append one in-triple to row ``row_id`` (``prev`` None for
+        the source sentinel)."""
+        self.ordinals[row_id].append(len(self.t_label))
+        self.t_label.append(label)
+        self.t_shared.append(shared)
+        self.t_prev.append(_NO_PREV if prev is None else prev)
+        self.t_row.append(row_id)
+
+    def row_for(self, pred, values):
+        """The :class:`CountingRow` of node ``(pred, values)``, appending
+        a row if new."""
+        return CountingRow(self, self.add_row(pred, values))
+
+    @property
+    def rows(self):
+        """Row views by id, built on first access.
+
+        A grown table gets a new list rather than an extended one:
+        tables are shared between threads through the counting-table
+        store, and readers must never see a half-extended list.
+        """
+        views = self._views
+        if len(views) < len(self.preds):
+            views = views + [CountingRow(self, row_id)
+                             for row_id in range(len(views),
+                                                 len(self.preds))]
+            self._views = views
+        return views
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.preds)
 
     @property
     def triple_count(self):
@@ -179,23 +275,151 @@ class CountingTable:
         from ..datalog.pretty import format_value
 
         def fmt_id(row_id):
-            return "nil" if row_id is None else "o%d" % (row_id + 1)
+            return "nil" if row_id == _NO_PREV else "o%d" % (row_id + 1)
 
         lines = []
-        for row in self.rows:
+        for row_id, values in enumerate(self.values):
             triples = ", ".join(
                 "(%s, %s, %s)" % (
-                    label if label is not None else "r0",
-                    format_value(tuple(shared)),
-                    fmt_id(prev),
+                    self.t_label[o] if self.t_label[o] is not None
+                    else "r0",
+                    format_value(tuple(self.t_shared[o])),
+                    fmt_id(self.t_prev[o]),
                 )
-                for label, shared, prev in row.triples
+                for o in self.ordinals[row_id]
             )
-            values = ", ".join(format_value(v) for v in row.values)
+            text = ", ".join(format_value(v) for v in values)
             lines.append(
-                "%s : (%s, {%s})" % (fmt_id(row.id), values, triples)
+                "%s : (%s, {%s})" % (fmt_id(row_id), text, triples)
             )
         return "\n".join(lines)
+
+
+def query_binder(get_relation, queries=None):
+    """A ``(site, rule, body, in_names, out_names) -> runner`` lookup.
+
+    Each runner is the shared :class:`~repro.engine.compile.BoundQuery`
+    for the call site, bound with :meth:`~repro.engine.compile.
+    BoundQuery.bind_many` to a resolver over ``get_relation``: one call
+    takes a list of bindings and returns one result list per binding.
+    ``queries`` (a dict, e.g. a prepared form's ``query_cache``) keeps
+    the compiled queries across binders; the bound runners embed this
+    binder's resolver and hoisted relation/view state, so they never
+    leave it — a later engine over a different database would
+    otherwise probe the first database's relations.  Safe because
+    ``get_relation`` is a fixed mapping for one evaluation: support
+    relations are materialized before it starts, and evaluation never
+    creates or replaces database relations.
+    """
+    queries = {} if queries is None else queries
+    bound = {}
+
+    def resolver(_index, atom):
+        return get_relation(atom.key)
+
+    def query(site, rule, body, in_names, out_names):
+        key = (site, id(rule))
+        runner = bound.get(key)
+        if runner is None:
+            compiled = queries.get(key)
+            if compiled is None:
+                compiled = bound_query(body, in_names, out_names)
+                queries[key] = compiled
+            runner = compiled.bind_many(resolver)
+            bound[key] = runner
+        return runner
+
+    return query
+
+
+class LeftGraph:
+    """Phase 1's expander: the left-part graph grown in breadth waves.
+
+    ``query`` is a :func:`query_binder` lookup.  :meth:`expand` computes
+    one wave's successor lists; :meth:`successor_map` runs the waves
+    from a source to the finished map.  The counting engines, the
+    magic-counting hybrid's classification, the divergence check and
+    the phase-1 worker processes all expand through this class.
+    """
+
+    def __init__(self, canonical, query, stats):
+        self.canonical = canonical
+        self.query = query
+        self.stats = stats
+        #: Recursive rules with a non-empty left part, in clique order;
+        #: a left-linear rule contributes no arc to G_L (the answer
+        #: phase applies it in place, at the same row).
+        self.rules = tuple(
+            rule for rule in canonical.recursive_rules
+            if not rule.is_left_linear_shape()
+        )
+
+    def expand(self, frontier):
+        """Successor lists of ``frontier`` nodes, aligned with it.
+
+        Each list holds ``((rec pred, values), (rule label, shared
+        values))`` pairs, rules in clique order and each rule's results
+        in query order — what a one-node-at-a-time expansion returns.
+        """
+        stats = self.stats
+        lists = [[] for _ in frontier]
+        for rule in self.rules:
+            head = rule.head_key
+            picked = [i for i, node in enumerate(frontier)
+                      if node[0] == head]
+            if not picked:
+                continue
+            runner = self.query(
+                "left", rule, rule.left, rule.bound_vars,
+                rule.rec_bound_vars + rule.shared_vars,
+            )
+            stats.rule_firings += len(picked)
+            split = len(rule.rec_bound_vars)
+            rec_key, label = rule.rec_key, rule.label
+            outs = runner([frontier[i][1] for i in picked], stats)
+            for i, results in zip(picked, outs):
+                if results:
+                    lists[i] += [
+                        ((rec_key, result[:split]), (label, result[split:]))
+                        for result in results
+                    ]
+        return lists
+
+    def successor_map(self, source, budget=None, pool=None):
+        """``{node: successor list}`` for every node reachable from
+        ``source``.
+
+        ``budget`` is checked once per node expansion.  ``pool`` (a
+        :class:`~repro.parallel.counting.WavePool`) expands the waves
+        instead of this process; it is closed when the map is done.
+        """
+        expand = self.expand if pool is None else pool.expand
+        successors = {}
+        frontier = [source]
+        seen = {source}
+        try:
+            while frontier:
+                if budget is not None:
+                    for _node in frontier:
+                        budget.check(self.stats)
+                upcoming = []
+                for node, pairs in zip(frontier, expand(frontier)):
+                    successors[node] = pairs
+                    for target, _label in pairs:
+                        if target not in seen:
+                            seen.add(target)
+                            upcoming.append(target)
+                frontier = upcoming
+        finally:
+            if pool is not None:
+                pool.close()
+        return successors
+
+    def classify(self, source, budget=None, pool=None):
+        """The DFS arc classification of the graph reachable from
+        ``source``, replayed over the finished successor map."""
+        successors = self.successor_map(source, budget, pool)
+        return classify_arcs(source, successors.__getitem__)
 
 
 class CountingEngine:
@@ -223,8 +447,8 @@ class CountingEngine:
         self.stats = stats if stats is not None else EvalStats()
         self.require_acyclic = require_acyclic
         #: Optional :class:`~repro.engine.guard.ResourceBudget` checked
-        #: per node expansion in the counting-set DFS and per state pop
-        #: in the answer phase.
+        #: per node expansion in phase 1 and per state pop in the
+        #: answer phase.
         self.budget = budget
         if answer_order not in ("bfs", "dfs"):
             raise ValueError("answer_order must be 'bfs' or 'dfs'")
@@ -237,103 +461,48 @@ class CountingEngine:
         self.rules_by_label = {
             rule.label: rule for rule in canonical.recursive_rules
         }
-        #: Per-call-site compiled bound queries (see
-        #: :class:`~repro.engine.compile.BoundQuery`), keyed by rule
-        #: identity.  Each body is compiled once and re-run under fresh
-        #: positional bindings for every node/state, replacing the
-        #: per-visit dict-substitution evaluation.  The counting
-        #: strategies pass their prepared form's ``query_cache`` dict so
-        #: the compilation survives across engine instances for the
-        #: same clique.
-        self._queries = query_cache if query_cache is not None else {}
-        #: Per-engine bound runners (``BoundQuery.bind``): these embed
-        #: this engine's resolver and its hoisted relation/view state,
-        #: so they must never travel through the shared ``query_cache``
-        #: — a later engine over a different database would otherwise
-        #: probe the first database's relations.
-        self._bound = {}
+        #: Per-call-site batched runners (see :func:`query_binder`).
+        #: The counting strategies pass their prepared form's
+        #: ``query_cache`` dict so compilation survives across engine
+        #: instances for the same clique.
+        self._query = query_binder(get_relation, query_cache)
+        self.left_graph = LeftGraph(canonical, self._query, self.stats)
         #: Optional node-keyed counting-table store (``get(node)`` /
         #: ``put(node, table)``): when the source node was already
-        #: explored by an earlier run, phase 1 (the left-graph DFS and
-        #: ahead/back-arc construction) is skipped entirely and the run
-        #: goes straight to the answer phase.
+        #: explored by an earlier run, phase 1 (the left-graph waves
+        #: and ahead/back-arc construction) is skipped entirely and the
+        #: run goes straight to the answer phase.
         self.table_store = table_store
         #: True when phase 1 was served from ``table_store``.
         self.table_reused = False
-        #: Optional replacement for :meth:`_successors` during phase 1 —
-        #: :func:`repro.parallel.counting.parallel_successor_map` installs
-        #: a cache-backed resolver here so the counting-set DFS replays
-        #: worker-computed expansions instead of probing the database.
-        self.successor_resolver = None
+        #: Optional :class:`~repro.parallel.counting.WavePool` that
+        #: expands phase 1's waves on worker processes.
+        self.wave_pool = None
         self.table = None
         self._answers = None
         self._parents = {}
         self._state_count = 0
         #: Largest pending-frontier size seen (memory high-water mark).
         self.max_frontier = 0
-        # Per-site caches resolving rule -> (rule, bound runner) without
-        # rebuilding the positional in-name tuples on every state (the
-        # answer phase visits |answers| x |rows| states; the queries
-        # themselves are shared through ``self._queries``).
+        # Answer-phase caches: pop-step runners per rule label,
+        # left-linear runners per predicate, and per (predicate, row)
+        # the steps out of a state there.
         self._unwind_entries = {}
-        self._left_linear_entries = {}
-        self._exit_entries = {}
+        self._left_linear = {}
+        self._plans = {}
 
     # -- phase 1: counting set ---------------------------------------
 
-    def _resolver(self, _index, atom):
-        return self.get_relation(atom.key)
-
-    def _query(self, site, rule, body, in_names, out_names):
-        """The cached bound runner for one (call site, rule).
-
-        The shared :class:`BoundQuery` is bound to this engine's
-        resolver (``BoundQuery.bind``), so repeated runs reuse the
-        resolved relations and hoisted probe views across every state
-        expansion of the run.  Safe because ``get_relation`` is a
-        fixed mapping for one engine's lifetime: the support engine
-        (if any) finished before construction, and evaluation never
-        creates or replaces database relations.
-        """
-        key = (site, id(rule))
-        runner = self._bound.get(key)
-        if runner is None:
-            query = self._queries.get(key)
-            if query is None:
-                query = bound_query(body, in_names, out_names)
-                self._queries[key] = query
-            runner = query.bind(self._resolver)
-            self._bound[key] = runner
-        return runner
-
     def _successors(self, node):
-        """Left-graph successors of ``node`` with (label, shared) labels."""
+        """Left-graph successors of ``node`` with (label, shared)
+        labels: a wave of one node."""
         if self.budget is not None:
             self.budget.check(self.stats)
-        pred, values = node
-        results = []
-        for rule in self.canonical.recursive_rules:
-            if rule.head_key != pred:
-                continue
-            if rule.is_left_linear_shape():
-                # Empty left part: the rule contributes no arc to G_L;
-                # the answer phase applies it in place (same row).
-                continue
-            query = self._query(
-                "left", rule, rule.left, rule.bound_vars,
-                rule.rec_bound_vars + rule.shared_vars,
-            )
-            split = len(rule.rec_bound_vars)
-            self.stats.rule_firings += 1
-            for result in query(values, self.stats):
-                results.append(
-                    ((rule.rec_key, result[:split]),
-                     (rule.label, result[split:]))
-                )
-        return results
+        return self.left_graph.expand([node])[0]
 
     def build_counting_set(self):
-        """DFS the left graph and materialize the counting table.
+        """Expand the left graph, classify it and materialize the
+        counting table.
 
         With a ``table_store``, a node already explored by an earlier
         run returns its memoized table without touching the database —
@@ -357,36 +526,17 @@ class CountingEngine:
                 self.table = table
                 self.table_reused = True
                 return table
-        classification = classify_arcs(
-            source, self.successor_resolver or self._successors
+        classification = self.left_graph.classify(
+            source, self.budget, self.wave_pool
         )
         if self.require_acyclic and not classification.is_acyclic():
             raise NotApplicableError(
                 "left-part graph contains %d back arcs; the acyclic "
                 "pointer method does not apply"
-                % len(classification.back)
+                % len(classification.arc_tuples[3])
             )
-        table = CountingTable()
-        source_row = table.row_for(*source)
-        table.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
-        # Discovery order assigns ids; arcs become in-triples.
-        for node in classification.order:
-            table.row_for(*node)
-        for arc in classification.ahead:
-            target = table.row_for(*arc.target)
-            source_id = table.row_for(*arc.source).id
-            label, shared = arc.label
-            target.triples.append((label, shared, source_id))
-            table.ahead_arc_count += 1
-            self.stats.facts_derived += 1
-        for arc in classification.back:
-            target = table.row_for(*arc.target)
-            source_id = table.row_for(*arc.source).id
-            label, shared = arc.label
-            target.triples.append((label, shared, source_id))
-            table.back_arc_count += 1
-            self.stats.facts_derived += 1
+        table = CountingTable.from_classification(classification)
+        self.stats.facts_derived += table.triple_count - 1
         self.table = table
         if self.table_store is not None:
             self.table_store.put(source, table)
@@ -394,99 +544,131 @@ class CountingEngine:
 
     # -- phase 2: answers ---------------------------------------------
 
-    def _exit_queries(self, pred):
-        """Cached ``(rule, query)`` pairs of the exit rules for ``pred``."""
-        entries = self._exit_entries.get(pred)
-        if entries is None:
-            exit_rules, _ = self.canonical.rules_by_head(pred)
-            entries = tuple(
-                (exit_rule,
-                 self._query("exit", exit_rule, exit_rule.body,
-                             exit_rule.bound_vars, exit_rule.free_vars))
-                for exit_rule in exit_rules
-            )
-            self._exit_entries[pred] = entries
-        return entries
-
     def _exit_states(self):
-        """Seed states from the exit rules at every counting node."""
-        for row in self.table.rows:
-            for exit_rule, query in self._exit_queries(row.pred):
-                self.stats.rule_firings += 1
-                for values in query(row.values, self.stats):
-                    yield (row.pred, values, row.id), exit_rule.label
-
-    def _apply_left_linear(self, state):
-        """Apply left-linear rules in place (no triple is consumed).
-
-        A left-linear rule has an empty left part and carries the bound
-        arguments through unchanged, so it transforms the answer values
-        while staying at the same counting row.
-        """
-        pred, values, row_id = state
-        row = self.table.rows[row_id]
-        entries = self._left_linear_entries.get(pred)
-        if entries is None:
-            entries = tuple(
-                (rule,
-                 self._query("right", rule, rule.right,
-                             rule.rec_free_vars + rule.bound_vars,
-                             rule.free_vars))
-                for rule in self.canonical.recursive_rules
-                if rule.is_left_linear_shape() and rule.head_key == pred
-            )
-            self._left_linear_entries[pred] = entries
-        for rule, query in entries:
-            self.stats.rule_firings += 1
-            for out in query(values + row.values, self.stats):
-                yield (rule.head_key, out, row_id), rule.label
+        """``(state, exit label)`` seeds from the exit rules at every
+        counting row, in row order: one batched call per exit rule."""
+        table = self.table
+        stats = self.stats
+        rows_of = {}
+        for row_id, pred in enumerate(table.preds):
+            rows_of.setdefault(pred, []).append(row_id)
+        per_row = [[] for _ in table.preds]
+        for pred, row_ids in rows_of.items():
+            inputs = [table.values[row_id] for row_id in row_ids]
+            exit_rules, _ = self.canonical.rules_by_head(pred)
+            for exit_rule in exit_rules:
+                runner = self._query("exit", exit_rule, exit_rule.body,
+                                     exit_rule.bound_vars,
+                                     exit_rule.free_vars)
+                stats.rule_firings += len(row_ids)
+                label = exit_rule.label
+                for row_id, results in zip(row_ids, runner(inputs, stats)):
+                    if results:
+                        per_row[row_id].append((label, results))
+        preds = table.preds
+        return [
+            ((preds[row_id], values, row_id), label)
+            for row_id, found in enumerate(per_row)
+            for label, results in found
+            for values in results
+        ]
 
     def _unwind_entry(self, label):
-        """Cached ``(rule, query)`` for one modified-rule pop step."""
-        entry = self._unwind_entries.get(label)
-        if entry is None:
-            rule = self.rules_by_label[label]
-            entry = (
-                rule,
-                self._query(
-                    "unwind", rule, rule.right,
-                    rule.rec_free_vars + rule.shared_vars
-                    + rule.bound_vars + rule.rec_bound_vars,
-                    rule.free_vars,
-                ),
-            )
-            self._unwind_entries[label] = entry
+        """``(rec key, runner, head key)`` of one modified rule's pop
+        step."""
+        rule = self.rules_by_label[label]
+        entry = (
+            rule.rec_key,
+            self._query(
+                "unwind", rule, rule.right,
+                rule.rec_free_vars + rule.shared_vars
+                + rule.bound_vars + rule.rec_bound_vars,
+                rule.free_vars,
+            ),
+            rule.head_key,
+        )
+        self._unwind_entries[label] = entry
         return entry
 
-    def _unwind(self, state):
-        """Apply one pop step: consume a triple of the state's row.
+    def _left_linear_entries(self, pred):
+        """``(runner, head key, label)`` of every left-linear rule
+        applied in place to ``pred`` states."""
+        entries = tuple(
+            (self._query("right", rule, rule.right,
+                         rule.rec_free_vars + rule.bound_vars,
+                         rule.free_vars),
+             rule.head_key, rule.label)
+            for rule in self.canonical.recursive_rules
+            if rule.is_left_linear_shape() and rule.head_key == pred
+        )
+        self._left_linear[pred] = entries
+        return entries
 
-        Reads the table's flat triple arrays through the row's
-        ordinals — no per-triple tuple is materialized on this path.
+    def _plan(self, pred, row_id):
+        """The steps out of a state ``(pred, ·, row_id)``, in emission
+        order: ``(runner, suffix, target row, head key, label)``.
+
+        First one modified-rule pop per in-triple of the row whose rule
+        recurses through ``pred`` (input: answer values + shared values
+        + predecessor row values + row values; target: the predecessor
+        row), then every left-linear rule of ``pred`` applied in place
+        (input: answer values + row values; same row).
         """
-        pred, values, row_id = state
         table = self.table
-        rows = table.rows
-        row = rows[row_id]
-        labels = table.t_label
-        shareds = table.t_shared
-        prevs = table.t_prev
-        stats = self.stats
-        for ordinal in row.triples.ordinals:
-            label = labels[ordinal]
+        values = table.values
+        row_values = values[row_id]
+        unwind = self._unwind_entries
+        plan = []
+        for ordinal in table.ordinals[row_id]:
+            label = table.t_label[ordinal]
             if label is None:
                 continue
-            rule, query = self._unwind_entry(label)
-            if rule.rec_key != pred:
+            entry = unwind.get(label) or self._unwind_entry(label)
+            if entry[0] != pred:
                 continue
-            prev_id = prevs[ordinal]
-            stats.rule_firings += 1
-            for out in query(
-                values + shareds[ordinal] + rows[prev_id].values
-                + row.values,
-                stats,
-            ):
-                yield (rule.head_key, out, prev_id), rule.label
+            prev_id = table.t_prev[ordinal]
+            plan.append((
+                entry[1],
+                table.t_shared[ordinal] + values[prev_id] + row_values,
+                prev_id, entry[2], label,
+            ))
+        left_linear = self._left_linear.get(pred)
+        if left_linear is None:
+            left_linear = self._left_linear_entries(pred)
+        for runner, head, label in left_linear:
+            plan.append((runner, row_values, row_id, head, label))
+        self._plans[pred, row_id] = plan
+        return plan
+
+    def level_steps(self, level):
+        """Plan and run the derivations out of every state of ``level``.
+
+        Returns ``(plans, results)``: ``plans[i]`` is the
+        :meth:`_plan` of ``level[i]``, and ``results`` maps each runner
+        to an iterator over its result lists, one per plan entry using
+        it, in level order.  Every runner the level touches is called
+        once, over all of the level's inputs for it.
+        """
+        plans = self._plans
+        inputs = {}
+        level_plans = []
+        for pred, values, row_id in level:
+            plan = plans.get((pred, row_id))
+            if plan is None:
+                plan = self._plan(pred, row_id)
+            level_plans.append(plan)
+            for runner, suffix, _target, _head, _label in plan:
+                batch = inputs.get(runner)
+                if batch is None:
+                    inputs[runner] = [values + suffix]
+                else:
+                    batch.append(values + suffix)
+        stats = self.stats
+        results = {}
+        for runner, batch in inputs.items():
+            stats.rule_firings += len(batch)
+            results[runner] = iter(runner(batch, stats))
+        return level_plans, results
 
     def compute_answers(self):
         """Run the answer phase; returns the set of answer tuples.
@@ -494,43 +676,50 @@ class CountingEngine:
         Answers are projections onto the goal's free arguments: states
         that reach the source row with the goal predicate.
         """
-        from collections import deque
-
         if self.table is None:
             self.build_counting_set()
+        stats = self.stats
+        budget = self.budget
+        source_id = self.table.source_id
+        goal_key = self.goal_key
+        depth_first = self.answer_order == "dfs"
         parents = {}
         answers = set()
-        pending = deque()
+        pending = []
         for state, label in self._exit_states():
             if state not in parents:
                 parents[state] = (label, None)
                 pending.append(state)
             else:
-                self.stats.facts_duplicate += 1
-        self.max_frontier = len(pending)
+                stats.facts_duplicate += 1
+        max_frontier = len(pending)
         while pending:
-            if self.budget is not None:
-                self.budget.check(self.stats)
-            faults.fire("unwind", self.stats)
-            self.stats.iterations += 1
-            if self.answer_order == "dfs":
-                state = pending.pop()
+            if depth_first:
+                level = [pending.pop()]
             else:
-                state = pending.popleft()
-            if (
-                state[2] == self.table.source_id
-                and state[0] == self.goal_key
-            ):
-                answers.add(state[1])
-            for producer in (self._unwind, self._apply_left_linear):
-                for new_state, label in producer(state):
-                    if new_state in parents:
-                        self.stats.facts_duplicate += 1
-                        continue
-                    parents[new_state] = (label, state)
-                    self.stats.facts_derived += 1
-                    pending.append(new_state)
-            self.max_frontier = max(self.max_frontier, len(pending))
+                level, pending = pending, []
+            left = len(level)
+            plans, results = self.level_steps(level)
+            for state, plan in zip(level, plans):
+                if budget is not None:
+                    budget.check(stats)
+                faults.fire("unwind", stats)
+                stats.iterations += 1
+                left -= 1
+                if state[2] == source_id and state[0] == goal_key:
+                    answers.add(state[1])
+                for runner, _suffix, target, head, label in plan:
+                    for out in next(results[runner]):
+                        new_state = (head, out, target)
+                        if new_state in parents:
+                            stats.facts_duplicate += 1
+                            continue
+                        parents[new_state] = (label, state)
+                        stats.facts_derived += 1
+                        pending.append(new_state)
+                if left + len(pending) > max_frontier:
+                    max_frontier = left + len(pending)
+        self.max_frontier = max_frontier
         self._answers = frozenset(answers)
         self._parents = parents
         self._state_count = len(parents)
@@ -556,9 +745,7 @@ class CountingEngine:
         while state is not None:
             label, parent = self._parents[state]
             pred, values, row_id = state
-            steps.append(
-                (label, self.table.rows[row_id].values, values)
-            )
+            steps.append((label, self.table.values[row_id], values))
             state = parent
         steps.reverse()
         return steps

@@ -27,6 +27,8 @@ original query's (tested against naive evaluation on the paper's
 examples and on random cyclic data).
 """
 
+from itertools import chain
+
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
@@ -34,7 +36,6 @@ from ..engine import faults
 from ..engine.instrumentation import EvalStats
 from ..engine.relation import WILDCARD
 from ..engine.seminaive import SemiNaiveEngine
-from ..graph.dfs import classify_arcs
 from ..graph.properties import strongly_connected_components
 from .counting_engine import SOURCE_TRIPLE, CountingEngine, CountingTable
 
@@ -114,7 +115,7 @@ class MagicCountingEngine:
 
     def _classify(self):
         source = (self.goal_key, self.source_values)
-        return classify_arcs(source, self._pointer._successors)
+        return self._pointer.left_graph.classify(source, self.budget)
 
     def _magic_part_program(self, boundary_seeds):
         """Magic program computing the recursive predicate over R.
@@ -229,23 +230,21 @@ class MagicCountingEngine:
 
         # Counting table over the acyclic (non-recurring) part.
         table = CountingTable()
-        source_row = table.row_for(*source)
-        table.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
+        table.source_id = table.add_row(*source)
+        table.add_triple(table.source_id, *SOURCE_TRIPLE)
         for node in classification.order:
             if node not in self.recurring:
-                table.row_for(*node)
+                table.add_row(*node)
         boundary_arcs = []
-        for arc in classification.arcs:
-            if arc.source in self.recurring:
+        for arc_source, target, (label, shared) in chain(
+                *classification.arc_tuples):
+            if arc_source in self.recurring:
                 continue
-            if arc.target in self.recurring:
-                boundary_arcs.append(arc)
+            if target in self.recurring:
+                boundary_arcs.append((arc_source, target, label, shared))
                 continue
-            label, shared = arc.label
-            table.row_for(*arc.target).triples.append(
-                (label, shared, table.row_for(*arc.source).id)
-            )
+            table.add_triple(table.add_row(*target), label, shared,
+                             table.add_row(*arc_source))
             table.ahead_arc_count += 1
         self.table = table
         self._pointer.table = table
@@ -263,23 +262,27 @@ class MagicCountingEngine:
 
         for state, _label in self._pointer._exit_states():
             push(state)
-        for state, _label in self._boundary_states(boundary_arcs, table):
+        for state in self._boundary_states(boundary_arcs, table):
             push(state)
 
+        # Breadth-first, one batched level at a time (see
+        # CountingEngine.level_steps).
         answers = set()
-        index = 0
-        while index < len(frontier):
-            if self.budget is not None:
-                self.budget.check(self.stats)
-            faults.fire("unwind", self.stats)
-            state = frontier[index]
-            index += 1
-            if state[2] == table.source_id and state[0] == self.goal_key:
-                answers.add(state[1])
-            for producer in (self._pointer._unwind,
-                             self._pointer._apply_left_linear):
-                for new_state, _label in producer(state):
-                    push(new_state)
+        start = 0
+        while start < len(frontier):
+            level = frontier[start:]
+            start = len(frontier)
+            plans, results = self._pointer.level_steps(level)
+            for state, plan in zip(level, plans):
+                if self.budget is not None:
+                    self.budget.check(self.stats)
+                faults.fire("unwind", self.stats)
+                if state[2] == table.source_id and \
+                        state[0] == self.goal_key:
+                    answers.add(state[1])
+                for runner, _suffix, target, head, _label in plan:
+                    for out in next(results[runner]):
+                        push((head, out, target))
         self._state_count = len(seen)
         return frozenset(answers)
 
@@ -298,10 +301,9 @@ class MagicCountingEngine:
         """Virtual exits: magic answers at boundary nodes, pulled one
         right-part application back into the acyclic part."""
         rules_by_label = self._pointer.rules_by_label
-        for arc in boundary_arcs:
-            label, shared = arc.label
+        for arc_source, arc_target, label, shared in boundary_arcs:
             rule = rules_by_label[label]
-            pred, target_values = arc.target
+            pred, target_values = arc_target
             answer_key = (
                 ANSWER_PART_PREFIX + pred[0],
                 len(target_values) + self._free_arity(pred),
@@ -309,8 +311,8 @@ class MagicCountingEngine:
             relation = self.magic_relations.get(answer_key)
             if relation is None:
                 continue
-            row_id = table.row_for(*arc.source).id
-            source_pred, source_values = arc.source
+            row_id = table.add_row(*arc_source)
+            source_pred, source_values = arc_source
             width = len(target_values)
             pattern = tuple(target_values) + (WILDCARD,) * (
                 relation.arity - width
@@ -325,15 +327,14 @@ class MagicCountingEngine:
                 + rule.rec_bound_vars,
                 rule.free_vars,
             )
-            for row in relation.match(pattern, self.stats):
-                self.stats.tuples_scanned += 1
-                y1_values = row[width:]
-                self.stats.rule_firings += 1
-                for out in query(
-                    y1_values + shared + source_values + target_values,
-                    self.stats,
-                ):
-                    yield (rule.head_key, out, row_id), rule.label
+            rows = list(relation.match(pattern, self.stats))
+            self.stats.tuples_scanned += len(rows)
+            self.stats.rule_firings += len(rows)
+            suffix = shared + source_values + target_values
+            for results in query([row[width:] + suffix for row in rows],
+                                 self.stats):
+                for out in results:
+                    yield (rule.head_key, out, row_id)
 
     @property
     def state_count(self):

@@ -27,8 +27,8 @@ adds only the binding layer on top:
    database silently invalidates exactly the dependent entries.
 4. **Counting-set memoization.**  With a
    :class:`~repro.exec.cache.CountingTableStore` attached, the
-   pointer/cyclic evaluators skip phase 1 (the left-graph DFS and
-   ahead-arc construction) when the source node was already explored
+   pointer/cyclic evaluators skip phase 1 (the left-graph waves and
+   the arc classification) when the source node was already explored
    under the current epochs.
 5. **Parallel attempts.**  ``run(workers=N)`` ships phase 1 of the
    pointer/cyclic evaluators to worker processes, or first tries the
@@ -228,30 +228,10 @@ class _Binding(Binding):
                 prepared.counting_store, prepared._form_key, self.epochs()
             )
         if self.workers is not None and self.workers >= 2 and shippable:
-            engine.successor_resolver = self._parallel_successors(engine)
+            from ..parallel.counting import WavePool
 
-    def _parallel_successors(self, engine):
-        """A phase-1 successor resolver that ships the left-graph
-        expansion to the workers when the DFS first asks for it, so a
-        table served from the store costs no extra store lookup."""
-        resolver = None
-
-        def successors(node):
-            nonlocal resolver
-            if resolver is None:
-                from ..parallel.counting import parallel_successor_map
-
-                try:
-                    resolver = parallel_successor_map(
-                        engine, self.db, self.workers
-                    )
-                    self.extras["parallel_phase1_workers"] = self.workers
-                except EvaluationError as exc:
-                    resolver = engine._successors
-                    self.extras["parallel_fallback"] = type(exc).__name__
-            return resolver(node)
-
-        return successors
+            engine.wave_pool = WavePool(engine.left_graph, self.db,
+                                        self.workers, self.extras)
 
 
 class PreparedQuery:

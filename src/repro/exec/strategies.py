@@ -66,7 +66,6 @@ from ..engine.fixpoint import goal_filter, project_free
 from ..engine.instrumentation import EvalStats
 from ..engine.seminaive import SemiNaiveEngine
 from ..errors import CountingDivergenceError, EvaluationError
-from ..graph.dfs import classify_arcs
 from ..rewriting.adornment import adorn_query
 from ..rewriting.canonical import canonicalize_clique, query_constants
 from ..rewriting.counting import classical_counting_rewrite
@@ -76,7 +75,7 @@ from ..rewriting.magic import magic_rewrite, magic_set_size
 from ..rewriting.reduction import reduce_rewriting
 from ..rewriting.supplementary import supplementary_magic_rewrite
 from ..rewriting.support import goal_clique_of
-from .counting_engine import CountingEngine
+from .counting_engine import CountingEngine, LeftGraph, query_binder
 from .magic_counting import MagicCountingEngine
 from .qsq import qsq_evaluate
 
@@ -175,12 +174,14 @@ def support_resolver(support_rules, db, stats, budget=None):
 
 
 def classify_left_graph(canonical, goal_key, source_values, get_relation):
-    """Arc classification of the left graph reachable from the source."""
-    source = (goal_key, tuple(source_values))
-    engine = CountingEngine(
-        canonical, goal_key, source[1], get_relation, stats=EvalStats()
-    )
-    return classify_arcs(source, engine._successors)
+    """Arc classification of the left graph reachable from the source.
+
+    Expanded by the counting engines' own wave expander; the probes
+    are not charged to any run's counters.
+    """
+    left_graph = LeftGraph(canonical, query_binder(get_relation),
+                           EvalStats())
+    return left_graph.classify((goal_key, tuple(source_values)))
 
 
 def check_pushing_cycles(canonical, goal_key, source_values, get_relation,

@@ -18,8 +18,8 @@ false.
 
 The result is, by construction, the same model the Bushy-Depth-First
 fixpoint computes — and the same table
-:class:`~repro.exec.counting_engine.CountingEngine` builds during its
-DFS.  ``tests/test_weak_stratification.py`` checks that agreement on
+:class:`~repro.exec.counting_engine.CountingEngine` builds from its DFS
+classification.  ``tests/test_weak_stratification.py`` checks that agreement on
 the paper's examples and on random graphs, which is the executable
 content of Theorem 2(1) in this reproduction.
 """

@@ -47,18 +47,49 @@ class Arc:
 
 
 class ArcClassification:
-    """Result of :func:`classify_arcs`."""
+    """Result of :func:`classify_arcs`.
 
-    __slots__ = ("source", "tree", "forward", "cross", "back", "order")
+    The arcs are kept as plain ``(source, target, label)`` tuples in
+    :attr:`arc_tuples`; the :class:`Arc` objects of :attr:`tree`,
+    :attr:`forward`, :attr:`cross` and :attr:`back` are built on first
+    access, so consumers that read the tuples (the counting engines)
+    never pay for per-arc objects.
+    """
+
+    __slots__ = ("source", "arc_tuples", "order", "_arcs")
 
     def __init__(self, source, tree, forward, cross, back, order):
         self.source = source
-        self.tree = tuple(tree)
-        self.forward = tuple(forward)
-        self.cross = tuple(cross)
-        self.back = tuple(back)
+        #: ``(tree, forward, cross, back)``: each a tuple of
+        #: ``(source, target, label)`` triples in DFS order.
+        self.arc_tuples = (tuple(tree), tuple(forward), tuple(cross),
+                           tuple(back))
         #: Nodes in DFS discovery order (the reachable node set).
         self.order = tuple(order)
+        self._arcs = [None] * 4
+
+    def _materialized(self, kind):
+        arcs = self._arcs[kind]
+        if arcs is None:
+            arcs = tuple(Arc(*triple) for triple in self.arc_tuples[kind])
+            self._arcs[kind] = arcs
+        return arcs
+
+    @property
+    def tree(self):
+        return self._materialized(0)
+
+    @property
+    def forward(self):
+        return self._materialized(1)
+
+    @property
+    def cross(self):
+        return self._materialized(2)
+
+    @property
+    def back(self):
+        return self._materialized(3)
 
     @property
     def ahead(self):
@@ -75,7 +106,7 @@ class ArcClassification:
 
     def is_acyclic(self):
         """True if the reachable subgraph contains no back arc."""
-        return not self.back
+        return not self.arc_tuples[3]
 
     def ahead_predecessors(self):
         """Map node -> tuple of ahead arcs entering it."""
@@ -95,32 +126,39 @@ class ArcClassification:
         return (
             "ArcClassification(%d nodes, %d tree, %d forward, %d cross, "
             "%d back)"
-            % (
-                len(self.order),
-                len(self.tree),
-                len(self.forward),
-                len(self.cross),
-                len(self.back),
-            )
+            % ((len(self.order),)
+               + tuple(len(arcs) for arcs in self.arc_tuples))
         )
 
 
-def _sort_key(item):
-    """Deterministic ordering for successor lists of mixed types."""
-    target, label = item
-    return (repr(target), repr(label))
+def _ordered(successor_pairs, reprs, label_reprs):
+    """Successor list in deterministic order: by ``repr`` of the target,
+    then of the label.
 
-
-def _ordered(successor_pairs):
-    """Successor list in deterministic order.
-
-    Sorting is by ``repr``, which is expensive on deeply nested node
-    keys; lists of fewer than two entries (the whole graph, on
-    chain-shaped data) need no ordering at all.
+    ``reprs`` and ``label_reprs`` memoize ``repr`` across one
+    classification, so each node's (and each hashable label's) sort key
+    is computed once however many arcs carry it; lists of fewer than
+    two entries (the whole graph, on chain-shaped data) need no
+    ordering at all.
     """
     pairs = list(successor_pairs)
-    if len(pairs) > 1:
-        pairs.sort(key=_sort_key)
+    if len(pairs) < 2:
+        return pairs
+
+    def key(pair):
+        target, label = pair
+        target_key = reprs.get(target)
+        if target_key is None:
+            target_key = reprs[target] = repr(target)
+        try:
+            label_key = label_reprs[label]
+        except KeyError:
+            label_key = label_reprs[label] = repr(label)
+        except TypeError:  # an unhashable label
+            label_key = repr(label)
+        return target_key, label_key
+
+    pairs.sort(key=key)
     return pairs
 
 
@@ -128,46 +166,36 @@ def classify_arcs(source, successors):
     """Classify all arcs reachable from ``source``.
 
     ``successors(node)`` must yield ``(target, label)`` pairs; the same
-    pair may be yielded once per distinct arc.
+    pair may be yielded once per distinct arc.  It is called once per
+    reachable node.
     """
-    discovery = {}
-    finished = set()
-    on_stack = set()
+    reprs, label_reprs = {}, {}
+    discovery = {source: 0}
+    order = [source]
+    on_stack = {source}
     tree, forward, cross, back = [], [], [], []
-    order = []
-    clock = [0]
-
-    def discover(node):
-        discovery[node] = clock[0]
-        clock[0] += 1
-        order.append(node)
-        on_stack.add(node)
-
-    discover(source)
-    stack = [(source, iter(_ordered(successors(source))))]
+    stack = [(source, iter(_ordered(successors(source), reprs, label_reprs)))]
     while stack:
         node, edges = stack[-1]
-        advanced = False
         for target, label in edges:
-            arc = Arc(node, target, label)
             if target not in discovery:
-                tree.append(arc)
-                discover(target)
-                stack.append(
-                    (target, iter(_ordered(successors(target))))
-                )
-                advanced = True
+                tree.append((node, target, label))
+                discovery[target] = len(order)
+                order.append(target)
+                on_stack.add(target)
+                stack.append((target, iter(
+                    _ordered(successors(target), reprs, label_reprs)
+                )))
                 break
             if target in on_stack:
-                back.append(arc)
+                back.append((node, target, label))
             elif discovery[target] > discovery[node]:
-                forward.append(arc)
+                forward.append((node, target, label))
             else:
-                cross.append(arc)
-        if not advanced:
+                cross.append((node, target, label))
+        else:
             stack.pop()
             on_stack.discard(node)
-            finished.add(node)
     return ArcClassification(source, tree, forward, cross, back, order)
 
 

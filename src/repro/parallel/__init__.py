@@ -5,8 +5,9 @@
 columns, shard-vs-broadcast decisions, delta-exchange schedule — and
 :mod:`repro.parallel.executor` runs it over a persistent
 ``multiprocessing`` worker pool.  :mod:`repro.parallel.counting`
-parallelizes phase 1 of the counting method (the left-graph DFS) with
-a byte-identical serial replay.  See ``docs/api.md`` ("Parallel
+parallelizes phase 1 of the counting method (the left-graph waves),
+with the DFS replayed serially over the finished map so the counting
+table stays byte-identical.  See ``docs/api.md`` ("Parallel
 evaluation") for the worker lifecycle and fallback semantics.
 """
 

@@ -1,29 +1,32 @@
-"""Parallel construction of the counting set (phase 1 of §3).
+"""Phase 1 of the counting method (§3) on worker processes.
 
-Phase 1 of the counting method is a DFS over the left-part graph: each
-node expansion runs the recursive rules' bound left-queries against the
-database.  Those expansions are independent of one another — only the
+Phase 1 grows the left-part graph from the source in breadth waves
+(:class:`~repro.exec.counting_engine.LeftGraph`); only the later
 *classification* of the discovered arcs (tree/forward/cross/back)
-depends on visit order — so the expensive part fans out cleanly:
+depends on visit order, and it runs over the finished successor map.
+A wave's node expansions are independent of one another, so
+:class:`WavePool` runs the very same waves with each wave's batch split
+across the pool:
 
-1. the coordinator grows the reachable node set in breadth waves,
-   spreading each wave's expansions across the worker pool (the first
-   wave is exactly the source's root subtrees);
-2. every worker returns, per node, the successor list *and* the work
-   counters that computing it cost;
-3. the coordinator then replays the serial DFS
-   (:func:`~repro.graph.dfs.classify_arcs`) over the cached successor
-   map — the replay performs no database work, so the resulting
+1. the coordinator keeps the wave loop, the budget checks and the
+   successor map; each wave's frontier is dealt round-robin to the
+   workers, which expand their share with the batched left-queries;
+2. every worker returns its successor lists *and* the work counters
+   the share cost, and the coordinator merges each share's counters
+   once — sums, so the totals are those of the serial waves;
+3. the replay (:func:`~repro.graph.dfs.classify_arcs` over the map) and
+   the level-batched unwind run in the coordinator, untouched — the
    :class:`~repro.exec.counting_engine.CountingTable` is byte-identical
-   to a serial build, and merging each node's recorded counters exactly
-   once reproduces the serial :class:`EvalStats` totals.
-
-The unwind phase (phase 2) stays serial and untouched.
+   to a serial build.
 
 Workers receive the full database (the left-queries' probe pattern is
 value-driven, not partitionable ahead of time), shipped once over the
 columnar fast path with a synchronized intern pool, like the sharded
-fixpoint executor does.
+fixpoint executor does.  Any pool failure raising
+:class:`~repro.errors.EvaluationError` (a crashed or silent worker)
+stops the pool; the wave that failed and every later one expand
+serially in the coordinator, and ``extras["parallel_fallback"]`` names
+the error.
 """
 
 import multiprocessing
@@ -42,7 +45,7 @@ from .executor import (
     _send_error,
 )
 
-#: Counters shipped per node; ``rule_firings`` and the scan/probe pair
+#: Counters shipped per share; ``rule_firings`` and the scan/probe pair
 #: dominate, the rest are carried for completeness.
 _COUNTER_FIELDS = (
     "rule_firings", "tuples_scanned", "facts_derived",
@@ -54,16 +57,11 @@ def _counters(stats):
     return tuple(getattr(stats, name) for name in _COUNTER_FIELDS)
 
 
-def _merge_counters(stats, before, after):
-    for name, b, a in zip(_COUNTER_FIELDS, before, after):
-        setattr(stats, name, getattr(stats, name) + (a - b))
-
-
 def _counting_worker_main(index, conn, payload):
-    """Pool process for phase-1 expansion: build an engine over the
-    shipped database, then expand node batches on request."""
+    """Pool process for phase 1: build a wave expander over the shipped
+    database, then expand frontier shares on request."""
     try:
-        from ..exec.counting_engine import CountingEngine
+        from ..exec.counting_engine import LeftGraph, query_binder
 
         pool = InternPool()
         for value in payload["values"]:
@@ -82,13 +80,9 @@ def _counting_worker_main(index, conn, payload):
                 relations[key] = relation
             return relation
 
-        engine = CountingEngine(
-            payload["canonical"],
-            payload["goal_key"],
-            payload["source_values"],
-            get_relation,
-            stats=EvalStats(),
-        )
+        stats = EvalStats()
+        left_graph = LeftGraph(payload["canonical"],
+                               query_binder(get_relation), stats)
     except BaseException as exc:  # noqa: BLE001 - shipped to coordinator
         _send_error(conn, exc)
         return
@@ -98,13 +92,13 @@ def _counting_worker_main(index, conn, payload):
             if message[0] == "close":
                 return
             try:
-                expanded = {}
-                for node in message[1]:
-                    before = _counters(engine.stats)
-                    successors = engine._successors(node)
-                    after = _counters(engine.stats)
-                    expanded[node] = (successors, before, after)
-                conn.send(("ok", expanded))
+                before = _counters(stats)
+                lists = left_graph.expand(message[1])
+                delta = tuple(
+                    after - earlier
+                    for earlier, after in zip(before, _counters(stats))
+                )
+                conn.send(("ok", (lists, delta)))
             except ReproError as exc:
                 _send_error(conn, exc)
                 return
@@ -112,65 +106,73 @@ def _counting_worker_main(index, conn, payload):
         return
 
 
-class CachedSuccessors:
-    """Successor resolver backed by the parallel expansion cache.
+class WavePool:
+    """Phase-1 waves expanded on ``workers`` processes.
 
-    Serving a node merges its recorded counters into the engine stats
-    exactly once; a cache miss (impossible when the wave expansion
-    covered the reachable set, but kept as a correctness net) falls
-    back to the engine's own serial expansion, whose counters accrue
-    naturally.
+    Install on a :class:`~repro.exec.counting_engine.CountingEngine` as
+    ``engine.wave_pool``; :meth:`LeftGraph.successor_map
+    <repro.exec.counting_engine.LeftGraph.successor_map>` then calls
+    :meth:`expand` per wave and :meth:`close` when the map is done.
+    The workers start on the first wave, so an engine whose table is
+    served from a store never starts them.  ``extras`` receives
+    ``parallel_phase1_workers`` after a clean parallel phase 1, or
+    ``parallel_fallback`` (the error's type name) after a fallback.
     """
 
-    def __init__(self, engine, cache, deltas):
-        self.engine = engine
-        self.cache = cache
-        self.deltas = deltas
+    def __init__(self, left_graph, db, workers, extras):
+        if workers < 1:
+            raise EvaluationError("parallel counting needs workers >= 1")
+        self.left_graph = left_graph
+        self.db = db
+        self.workers = workers
+        self.extras = extras
+        self._members = []
+        self._started = False
+        self._failure = None
 
-    def __call__(self, node):
-        cached = self.cache.get(node)
-        if cached is None:
-            return self.engine._successors(node)
-        delta = self.deltas.pop(node, None)
-        if delta is not None:
-            _merge_counters(self.engine.stats, delta[0], delta[1])
-        return cached
+    def expand(self, frontier):
+        """The wave's successor lists, aligned with ``frontier``."""
+        if self._failure is None:
+            try:
+                if not self._started:
+                    self._started = True
+                    self._start()
+                return self._expand(frontier)
+            except EvaluationError as exc:
+                self._failure = type(exc).__name__
+                self._stop()
+        return self.left_graph.expand(frontier)
 
+    def close(self):
+        """Stop the workers and record how phase 1 ran."""
+        if self._failure is not None:
+            self.extras["parallel_fallback"] = self._failure
+        elif self._started:
+            self.extras["parallel_phase1_workers"] = self.workers
+        self._stop()
 
-def parallel_successor_map(engine, db, workers):
-    """Expand the left graph reachable from the engine's source across
-    ``workers`` processes; returns a :class:`CachedSuccessors` resolver.
-
-    Raises :class:`~repro.parallel.executor.WorkerCrashError` (or the
-    worker's own typed error) on any pool failure — callers fall back
-    to the serial DFS.
-    """
-    if workers < 1:
-        raise EvaluationError("parallel counting needs workers >= 1")
-    pool = db.intern_pool
-    blobs = {}
-    with db._lock:
-        items = sorted(db._relations.items())
-    for key, relation in items:
-        blobs[key] = (
-            key[1], _encode_rows(pool, _relation_rows(relation), key[1])
+    def _start(self):
+        db = self.db
+        pool = db.intern_pool
+        blobs = {}
+        with db._lock:
+            items = sorted(db._relations.items())
+        for key, relation in items:
+            blobs[key] = (
+                key[1],
+                _encode_rows(pool, _relation_rows(relation), key[1]),
+            )
+        payload = {
+            "values": list(pool._values),
+            "relations": blobs,
+            "canonical": self.left_graph.canonical,
+        }
+        context = multiprocessing.get_context(
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else None
         )
-    values = list(pool._values)
-    payload = {
-        "values": values,
-        "relations": blobs,
-        "canonical": engine.canonical,
-        "goal_key": engine.goal_key,
-        "source_values": engine.source_values,
-    }
-    context = multiprocessing.get_context(
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
-    )
-    members = []
-    try:
-        for index in range(workers):
+        for index in range(self.workers):
             parent, child = context.Pipe(duplex=True)
             process = context.Process(
                 target=_counting_worker_main,
@@ -179,38 +181,29 @@ def parallel_successor_map(engine, db, workers):
             )
             process.start()
             child.close()
-            members.append((process, parent))
-        source = (engine.goal_key, engine.source_values)
-        cache = {}
-        deltas = {}
-        frontier = [source]
-        seen = {source}
-        while frontier:
-            chunks = [frontier[i::workers] for i in range(workers)]
-            for index, (process, conn) in enumerate(members):
-                if chunks[index]:
-                    conn.send(("expand", chunks[index]))
-            replies = {}
-            for index, (process, conn) in enumerate(members):
-                if not chunks[index]:
-                    continue
-                reply = _await_reply(index, process, conn)
-                replies.update(reply)
-            if engine.budget is not None:
-                engine.budget.check(engine.stats)
-            next_frontier = []
-            for node in frontier:
-                successors, before, after = replies[node]
-                cache[node] = successors
-                deltas[node] = (before, after)
-                for target, _label in successors:
-                    if target not in seen:
-                        seen.add(target)
-                        next_frontier.append(target)
-            frontier = next_frontier
-        return CachedSuccessors(engine, cache, deltas)
-    finally:
-        for process, conn in members:
+            self._members.append((process, parent))
+
+    def _expand(self, frontier):
+        count = len(self._members)
+        shares = [frontier[i::count] for i in range(count)]
+        for share, (_process, conn) in zip(shares, self._members):
+            if share:
+                conn.send(("expand", share))
+        replies = [
+            _await_reply(index, process, conn) if share else ([], ())
+            for index, (share, (process, conn))
+            in enumerate(zip(shares, self._members))
+        ]
+        stats = self.left_graph.stats
+        for _lists, delta in replies:
+            for name, amount in zip(_COUNTER_FIELDS, delta):
+                setattr(stats, name, getattr(stats, name) + amount)
+        return [replies[i % count][0][i // count]
+                for i in range(len(frontier))]
+
+    def _stop(self):
+        members, self._members = self._members, []
+        for _process, conn in members:
             try:
                 conn.send(("close",))
             except (OSError, ValueError):

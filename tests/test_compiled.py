@@ -289,6 +289,42 @@ class TestBoundQuery:
         with pytest.raises(ValueError, match="variable Z not bound"):
             list(query.run(resolver, ("a",)))
 
+    @pytest.mark.parametrize("rule, in_names, out_names", [
+        # One scan, one bound column.
+        ("q(X) :- e(X, Y).", ("X",), ("Y",)),
+        # Two scans; the second probes on the first's output.
+        ("q(X) :- e(X, Y), f(Y, Z).", ("X",), ("Y", "Z")),
+        # A repeated variable: an in-scan equality check.
+        ("q(X) :- e(X, Y), e(Y, Y).", ("X",), ("Y",)),
+        # A filter before the last scan can skip a whole binding.
+        ("q(X) :- X != a, e(X, Y).", ("X",), ("Y",)),
+        # Fully bound: membership probes only.
+        ("q(X) :- e(X, Y).", ("X", "Y"), ()),
+        # Duplicate in_names: the later value wins.
+        ("q(X) :- e(X, Y).", ("X", "X"), ("Y",)),
+        # A trailing assignment is outside the generated shape: the
+        # fallback loops over single runs.
+        ("q(X) :- e(X, Y), Z = Y.", ("X",), ("Z",)),
+    ])
+    def test_bind_many_is_a_loop_of_binds(self, rule, in_names, out_names):
+        program = parse_program(rule)
+        query = BoundQuery(program.rules[0].body, in_names, out_names)
+        facts = "e(a, b). e(a, c). e(b, b). e(c, d). f(b, n1). f(c, n2)."
+        keys = ("a", "b", "c", "zz")
+        bindings = [
+            tuple(keys[(i + j) % len(keys)] for j in range(len(in_names)))
+            for i in range(9)
+        ]
+        single_stats, many_stats = EvalStats(), EvalStats()
+        single = query.bind(self.make_resolver(facts))
+        many = query.bind_many(self.make_resolver(facts))
+        expected = [list(single(values, single_stats))
+                    for values in bindings]
+        assert many(bindings, many_stats) == expected
+        assert many([], many_stats) == []
+        assert many_stats.as_dict() == single_stats.as_dict()
+        assert many(bindings[:1]) == expected[:1]  # stats are optional
+
 
 class TestRelationLookup:
     def make(self):

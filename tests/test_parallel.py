@@ -370,6 +370,37 @@ class TestPreparedAndService:
         assert parallel.extras["counting_triples"] == \
             serial.extras["counting_triples"]
 
+    def test_prepared_counting_phase1_falls_back_mid_phase(
+            self, monkeypatch):
+        # A worker failure on the second wave: the waves already
+        # expanded keep their merged counters, the rest run serially,
+        # and the run equals the serial one.
+        from repro.exec.prepared import PreparedQuery
+        from repro.parallel import counting
+
+        w = WORKLOADS["sg_tree"]
+        db, _src = w.make_db(fanout=3, depth=5)
+        serial = PreparedQuery(w.query, db, method="pointer_counting") \
+            .run(db=db)
+        calls = []
+        original = counting._await_reply
+
+        def flaky(index, process, conn):
+            calls.append(index)
+            if len(calls) == 2:
+                raise WorkerCrashError("counting worker %d died" % index)
+            return original(index, process, conn)
+
+        monkeypatch.setattr(counting, "_await_reply", flaky)
+        prepared = PreparedQuery(w.query, db, method="pointer_counting")
+        result = prepared.run(db=db, workers=2)
+        assert result.extras["parallel_fallback"] == "WorkerCrashError"
+        assert "parallel_phase1_workers" not in result.extras
+        assert result.answers == serial.answers
+        assert result.stats.as_dict() == serial.stats.as_dict()
+        assert result.extras["counting_triples"] == \
+            serial.extras["counting_triples"]
+
     def test_prepared_naive_uses_sharded_fixpoint(self):
         from repro.exec.prepared import PreparedQuery
 
