@@ -36,9 +36,15 @@ class Literal:
 
 
 class Atom(Literal):
-    """A predicate applied to a tuple of terms."""
+    """A predicate applied to a tuple of terms.
 
-    __slots__ = ("pred", "args")
+    Atoms are immutable; ``key``, the ``(name, arity)`` pair
+    identifying the predicate, is computed once here because every
+    layer (adornment, clique analysis, the engine's relation lookups)
+    reads it repeatedly.
+    """
+
+    __slots__ = ("pred", "args", "key")
 
     def __init__(self, pred, args=()):
         self.pred = pred
@@ -46,15 +52,11 @@ class Atom(Literal):
         for arg in self.args:
             if not isinstance(arg, Term):
                 raise TypeError("atom argument is not a Term: %r" % (arg,))
+        self.key = (pred, len(self.args))
 
     @property
     def arity(self):
         return len(self.args)
-
-    @property
-    def key(self):
-        """The (name, arity) pair identifying the predicate."""
-        return (self.pred, len(self.args))
 
     def variables(self):
         names = set()

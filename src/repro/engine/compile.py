@@ -1145,11 +1145,14 @@ class CompiledRule:
 
     ``compiled`` is the body, ``head`` builds the ground head tuple
     from a match, ``head_spec`` is the row spec the batch emitters
-    consume, and ``premises`` (used only when tracing) yields one
-    ground value tuple per positive body atom in body order.
+    consume, ``emit`` is the body's batch emitter for that spec (None
+    when the body has none; see :meth:`CompiledBody.emitter`), and
+    ``premises`` (used only when tracing) yields one ground value tuple
+    per positive body atom in body order.
     """
 
-    __slots__ = ("rule", "compiled", "head", "head_spec", "premises")
+    __slots__ = ("rule", "compiled", "head", "head_spec", "emit",
+                 "premises")
 
     def __init__(self, rule):
         self.rule = rule
@@ -1159,6 +1162,7 @@ class CompiledRule:
             rule.head.args, compiled, _head_unground(rule.head)
         )
         self.head = row_spec_fn(self.head_spec)
+        self.emit = compiled.emitter(self.head_spec)
         self.premises = tuple(
             compile_row(atom.args, compiled, _premise_unground(atom))
             for atom in rule.body_atoms()

@@ -103,9 +103,10 @@ class SemiNaiveEngine:
     def _delta_resolver(self, deltas, target_index):
         def resolver(index, atom):
             if index == target_index:
-                return deltas.get(
-                    atom.key, EmptyRelation(atom.key[0], atom.key[1])
-                )
+                rel = deltas.get(atom.key)
+                if rel is None:
+                    return EmptyRelation(atom.pred, len(atom.args))
+                return rel
             return self.full(atom.key)
 
         return resolver
@@ -150,42 +151,47 @@ class SemiNaiveEngine:
 
         When the body has a vectorized emitter (innermost step a plain
         scan) the head projection happens inside a generated list
-        comprehension, one whole batch per innermost probe; each batch is drained into the relation before the next
-        is produced, so derivations become visible to subsequent probes
-        exactly as they did row at a time.
+        comprehension, one whole batch per innermost probe; each batch
+        is drained into the relation before the next is produced, so
+        derivations become visible to subsequent probes exactly as they
+        did row at a time.  Each row costs one ``relation.add``; the
+        pass's new rows join the round's delta relation in one step at
+        the end (nothing reads that delta before the next round), and
+        the derived/duplicate counters are settled there too — also
+        when the pass raises, so partial counters match a row-at-a-time
+        pass.
         """
         stats = self.stats
         stats.rule_firings += 1
         key = compiled.rule.head.key
-        relation = self._relation(key)
+        add = self._relation(key).add
+        new = []
+        emitted = 0
         body = compiled.compiled
-        delta_rel = None
-        emit = body.emitter(compiled.head_spec)
-        if emit is not None:
-            for batch in emit(resolver, body.make_slots(), stats):
-                for row in batch:
-                    if relation.add(row):
-                        stats.facts_derived += 1
-                        if delta_rel is None:
-                            delta_rel = delta.setdefault(
-                                key, Relation(key[0], key[1])
-                            )
-                        delta_rel.add(row)
-                    else:
-                        stats.facts_duplicate += 1
-            return
-        head = compiled.head
-        for slots in body.execute(resolver, body.make_slots(), stats):
-            row = head(slots)
-            if relation.add(row):
-                stats.facts_derived += 1
-                if delta_rel is None:
-                    delta_rel = delta.setdefault(
-                        key, Relation(key[0], key[1])
-                    )
-                delta_rel.add(row)
+        try:
+            emit = compiled.emit
+            if emit is not None:
+                for batch in emit(resolver, body.make_slots(), stats):
+                    emitted += len(batch)
+                    for row in batch:
+                        if add(row):
+                            new.append(row)
             else:
-                stats.facts_duplicate += 1
+                head = compiled.head
+                for slots in body.execute(resolver, body.make_slots(),
+                                          stats):
+                    emitted += 1
+                    row = head(slots)
+                    if add(row):
+                        new.append(row)
+        finally:
+            if new:
+                stats.facts_derived += len(new)
+                delta_rel = delta.get(key)
+                if delta_rel is None:
+                    delta_rel = delta[key] = Relation(key[0], key[1])
+                delta_rel.extend_new(new)
+            stats.facts_duplicate += emitted - len(new)
 
     def _apply_traced(self, rule, compiled, resolver, delta):
         """Rule pass recording the first derivation of every fact."""

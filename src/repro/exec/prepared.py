@@ -57,6 +57,40 @@ from .strategies import (
 )
 
 
+class _FormKey:
+    """The structural identity of a query form, hashed once.
+
+    The parts embed the form's whole program, so hashing them walks
+    every rule, atom and term; cache lookups hash the key on every
+    ``get`` and ``put``.  The hash is computed at construction and
+    equality stays structural, so two prepared instances of one form
+    still share cache entries.  A pickled key carries only its parts and
+    hashes again where it is loaded (string hashes differ per process).
+    """
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, _FormKey)
+            and self._hash == other._hash
+            and self.parts == other.parts
+        )
+
+    def __reduce__(self):
+        return (_FormKey, (self.parts,))
+
+    def __repr__(self):
+        return "_FormKey(%r)" % (self.parts,)
+
+
 class FormParameter:
     """Placeholder constant standing for one bound goal position.
 
@@ -286,8 +320,9 @@ class PreparedQuery:
             sentinel_args[pos] = Constant(param)
         #: Structural identity of the query form; shared caches use it
         #: so two prepared instances of the same form exchange entries.
-        self._form_key = (
-            goal.key, self.template.adornment(), self.method, program.rules
+        self._form_key = _FormKey(
+            (goal.key, self.template.adornment(), self.method,
+             program.rules)
         )
         self._runs = 0
         #: Data memos of :meth:`_Binding.memo`: name -> (database

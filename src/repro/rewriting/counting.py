@@ -30,8 +30,7 @@ from ..datalog.rules import Program, Query, Rule
 from ..datalog.terms import Compound, Constant, Variable
 from ..errors import NotApplicableError
 from .adornment import adorn_query
-from .canonical import canonicalize_clique, query_constants
-from .support import goal_clique_of
+from .canonical import query_constants
 
 #: Prefix of counting predicate names.
 COUNT_PREFIX = "c_"
@@ -97,8 +96,8 @@ def check_classical_applicability(canonical):
 def classical_counting_rewrite(query):
     """Apply the classical counting rewriting to ``query``."""
     adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
+    clique, support_rules = adorned.goal_clique()
+    canonical = adorned.canonical_clique()
     check_classical_applicability(canonical)
 
     goal = adorned.goal

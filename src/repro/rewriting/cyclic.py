@@ -23,9 +23,7 @@ check our rule generation against the paper's Example 5.
 
 from ..datalog.pretty import format_literal
 from .adornment import adorn_query
-from .canonical import canonicalize_clique
 from .counting import COUNT_PREFIX
-from .support import goal_clique_of
 
 
 def _fmt_vars(names):
@@ -45,8 +43,8 @@ def cyclic_counting_program_text(query):
     (object identifiers, set terms, membership goals).
     """
     adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, _support = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
+    clique, _support = adorned.goal_clique()
+    canonical = adorned.canonical_clique()
     goal = adorned.goal
     lines = []
     out = lines.append

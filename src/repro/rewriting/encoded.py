@@ -36,8 +36,7 @@ from ..datalog.rules import Program, Query, Rule
 from ..datalog.terms import Compound, Constant, Variable
 from ..errors import NotApplicableError
 from .adornment import adorn_query
-from .canonical import canonicalize_clique, query_constants
-from .support import goal_clique_of
+from .canonical import query_constants
 
 ENC_PREFIX = "ce_"
 
@@ -104,8 +103,8 @@ def check_encoded_applicability(canonical):
 def encoded_counting_rewrite(query):
     """Apply the [15] integer-encoded counting rewriting to ``query``."""
     adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
+    clique, support_rules = adorned.goal_clique()
+    canonical = adorned.canonical_clique()
     check_encoded_applicability(canonical)
 
     goal = adorned.goal

@@ -37,9 +37,8 @@ from ..datalog.terms import (
     make_tuple,
 )
 from .adornment import adorn_query
-from .canonical import canonicalize_clique, query_constants
+from .canonical import query_constants
 from .counting import COUNT_PREFIX
-from .support import goal_clique_of
 
 #: Name of the path variable introduced by the rewriting.
 PATH_VAR = "CNT_PATH"
@@ -105,8 +104,8 @@ def _answer_atom(answer_preds, key, var_names, path_term):
 def extended_counting_rewrite(query):
     """Apply Algorithm 1 (extended counting) to ``query``."""
     adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
+    clique, support_rules = adorned.goal_clique()
+    canonical = adorned.canonical_clique()
     goal = adorned.goal
 
     counting_preds = {}

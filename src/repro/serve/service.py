@@ -710,30 +710,15 @@ class QueryService:
         by database identity, so gratuitous re-pinning would read as an
         invalidation on every entry.
         """
-        if not self.snapshots:
-            return self.db
         generation = self._generation
-        pinned = generation._relations
-        # Snapshot the live epoch table under the database lock: a
-        # concurrent writer inserting a first-use relation key would
-        # otherwise resize the dict mid-iteration.
-        with self.db._lock:
-            live = [
-                (key, rel.epoch)
-                for key, rel in self.db._relations.items()
-            ]
-        stale = len(live) != len(pinned)
-        if not stale:
-            for key, epoch in live:
-                view = pinned.get(key)
-                if view is None or view.epoch != epoch:
-                    stale = True
-                    break
-        if stale:
-            generation = self.db.snapshot()
-            self._generation = generation
+        if generation is self.db:
+            # No snapshots, or the service reads a snapshot already.
+            return generation
+        refreshed = generation.refreshed()
+        if refreshed is not generation:
+            self._generation = refreshed
             self.stats.bump("refreshes")
-        return generation
+        return refreshed
 
     # -- the worker side -----------------------------------------------
 

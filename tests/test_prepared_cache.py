@@ -1,6 +1,7 @@
 """Prepared queries, the answer cache, and epoch-based invalidation."""
 
 import io
+import pickle
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.data.workloads import (
     forest_root,
     sg_forest,
 )
+from repro.datalog.rules import Rule
 from repro.engine.database import Database
 from repro.engine.instrumentation import EvalStats
 from repro.engine.relation import EmptyRelation, Relation
@@ -179,6 +181,37 @@ class TestAnswerCache:
         assert second.extras["cache_hit"] is True
         assert second.answers == first.answers
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_form_key_hashed_once_and_shared(self, monkeypatch):
+        workload = WORKLOADS["sg_chain"]
+        db = make_chain()
+        cache = AnswerCache()
+        first = PreparedQuery(workload.query, db, cache=cache)
+        first.run(db=db)
+        hashes = []
+        original = Rule.__hash__
+
+        def counted(rule):
+            hashes.append(rule)
+            return original(rule)
+
+        monkeypatch.setattr(Rule, "__hash__", counted)
+        # A second instance of the same form hashes its program once,
+        # building its key, then hits the first instance's entry.
+        second = PreparedQuery(workload.query, db, cache=cache)
+        built = len(hashes)
+        assert built > 0
+        hit = second.run(db=db)
+        assert hit.stats.cache_hits == 1
+        assert len(hashes) == built
+        assert second._form_key == first._form_key
+        assert second._form_key is not first._form_key
+
+    def test_form_key_pickles_without_its_hash(self):
+        key = PreparedQuery(WORKLOADS["sg_chain"].query)._form_key
+        assert key.__reduce__()[1] == (key.parts,)
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key and hash(clone) == hash(key)
 
     def test_mutation_invalidates_dependent_entries(self):
         workload = WORKLOADS["sg_chain"]

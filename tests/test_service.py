@@ -784,6 +784,27 @@ class TestAnswersIdentical:
         assert (before.extras["service"]["generation"]
                 != after.extras["service"]["generation"])
 
+    def test_refresh_keeps_views_of_unchanged_relations(self):
+        db, _source = sg_forest(trees=1, fanout=2, depth=3)
+        prepared = PreparedQuery(WORKLOADS["sg_forest"].query, db)
+        binding = (forest_root(0),)
+        service = QueryService(prepared, db, workers=1, queue_capacity=4)
+        try:
+            service.run(binding, wait=60.0)
+            old = service._generation
+            db.add_fact("flat", forest_root(0), "svc_new_peer")
+            service.run(binding, wait=60.0)
+            new = service._generation
+        finally:
+            service.drain()
+        assert new is not old
+        # Only the written relation is pinned again; the rest keep their
+        # materialized rows and indexes.
+        assert new.get(("up", 2)) is old.get(("up", 2))
+        assert new.get(("down", 2)) is old.get(("down", 2))
+        assert new.get(("flat", 2)) is not old.get(("flat", 2))
+        assert (forest_root(0), "svc_new_peer") not in old.get(("flat", 2))
+
 
 class TestDrain:
     def test_drain_completes_queued_work(self):

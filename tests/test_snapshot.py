@@ -122,6 +122,44 @@ class TestDatabaseSnapshot:
         assert ("direct",) not in after_snap
 
 
+class TestRefreshed:
+    """``refreshed()`` re-pins only what moved since the snapshot."""
+
+    def make_db(self):
+        return Database.from_text("""
+            up(a, b). up(b, c). link(a, b).
+        """)
+
+    def test_quiet_database_returns_same_snapshot(self):
+        snap = self.make_db().snapshot()
+        assert snap.refreshed() is snap
+
+    def test_unchanged_view_is_shared_across_a_write(self):
+        db = self.make_db()
+        old = db.snapshot()
+        up_view = old.get(("up", 2))
+        # Materialize the view's rows and an index; both must carry over.
+        assert list(up_view.lookup((0,), "a")) == [("a", "b")]
+        db.add_fact("link", "b", "c")
+        new = old.refreshed()
+        assert new is not old
+        assert new.get(("up", 2)) is up_view
+        assert new.get(("link", 2)) is not old.get(("link", 2))
+        assert set(new.get(("link", 2))) == {("a", "b"), ("b", "c")}
+        assert new.epochs([("link", 2)]) == db.epochs([("link", 2)])
+
+    def test_old_generation_does_not_see_new_rows(self):
+        db = self.make_db()
+        old = db.snapshot()
+        db.add_fact("link", "b", "c")
+        db.add_fact("fresh", "x")
+        new = old.refreshed()
+        assert set(old.get(("link", 2))) == {("a", "b")}
+        assert ("fresh", 1) not in old
+        assert set(new.get(("fresh", 1))) == {("x",)}
+        assert new.refreshed() is new
+
+
 class TestConcurrentPinning:
     """Property: a reader pinned to epoch E never sees row E+1."""
 
